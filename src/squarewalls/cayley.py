@@ -406,19 +406,10 @@ def geodesics(ball: CayleyBall, x, y, cap: int = 10_000) -> GeodesicsReport:
     X = ball.base
     if x not in X.vertices or y not in X.vertices:
         raise ValueError("endpoints must be ball vertices")
-    adj: dict = {v: [] for v in X.vertices}
-    for eid, (u, w) in sorted(X.edges.items(), key=lambda kv: _idkey(kv[0])):
-        adj[u].append((w, eid))
-        adj[w].append((u, eid))
-    dist = {x: 0}
-    queue = deque([x])
-    while queue:
-        cur = queue.popleft()
-        for nxt, _e in adj[cur]:
-            if nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                queue.append(nxt)
-    if y not in dist:
+    idx = X.skeleton
+    source, target = idx.position[x], idx.position[y]
+    dist, _via = idx.bfs(source)
+    if dist[target] < 0:
         raise ValueError("endpoints are not connected")
     paths: list = []
     truncated = False
@@ -428,12 +419,12 @@ def geodesics(ball: CayleyBall, x, y, cap: int = 10_000) -> GeodesicsReport:
         if len(paths) >= cap:
             truncated = True
             return
-        if v == x:
+        if v == source:
             paths.append(tuple(suffix))
             return
-        for u, eid in adj[v]:
-            if dist.get(u) == dist[v] - 1:
+        for u, eid in idx.adj[v]:
+            if dist[u] == dist[v] - 1:
                 backtrack(u, [eid] + suffix)
 
-    backtrack(y, [])
-    return GeodesicsReport(dist[y], tuple(paths), truncated)
+    backtrack(target, [])
+    return GeodesicsReport(dist[target], tuple(paths), truncated)

@@ -3,7 +3,8 @@
 Every artifact embeds {version, config, seed}; outputs are canonicalized
 (sorted keys, sorted rows) so identical configurations produce identical
 bytes regardless of --threads. Exit codes: 0 = report written / checks pass,
-1 = a checked invariant failed, 2 = usage error.
+1 = a checked invariant failed, 2 = usage error, 3 = an enumeration cap cut
+the run short and it found nothing (the artifact says complete: false).
 """
 
 from __future__ import annotations
@@ -17,17 +18,14 @@ import sys
 from . import __version__
 from .cayley import WordProblemBudget, build_ball
 from .complexes import IsoParams, SquareComplex, _id_in, _id_out, _idkey
-from .enumeration import (
-    check_special_cells,
-    enumerate_abstract_complexes,
-    scan_local_iso,
-)
+from .enumeration import EnumerationCursor, check_special_cells, scan_local_iso
 from .fixtures import REGISTRY, make_fixture
 from .fulfill import AbstractComplex, monte_carlo_set_fulfill
 from .presentation import Presentation, sample_presentation
 from .walls import (
     KINDS,
     PaintingConflict,
+    TracingError,
     bfs_geodesic,
     check_wall_lower_bound,
     check_window_crossing,
@@ -37,6 +35,7 @@ from .walls import (
 )
 
 _NON_CONFIG = {"func", "out", "threads"}
+TRUNCATED = 3  # exit status of a capped enumeration that found nothing
 
 
 def _config(args) -> dict:
@@ -108,7 +107,7 @@ def _cmd_sample(args, parser) -> int:
 
 def _cmd_enumerate(args, parser) -> int:
     counts: dict = {}
-    cursor = enumerate_abstract_complexes(
+    cursor = EnumerationCursor(
         args.faces, parent_cap=args.parent_cap, level_cap=args.level_cap)
     total = 0
     for Y in cursor:
@@ -118,19 +117,25 @@ def _cmd_enumerate(args, parser) -> int:
     doc = _envelope(args)
     doc["classes"] = total
     doc["classes_by_faces_labels"] = counts
+    doc["complete"] = not cursor.truncated
     _emit_json(args, doc)
-    return 0
+    return TRUNCATED if cursor.truncated else 0
 
 
 def _cmd_scan_iso(args, parser) -> int:
     P = sample_presentation(args.rank, args.density, args.seed)
     params = IsoParams(d=args.density, eps=args.epsilon)
-    violations = scan_local_iso(list(P.relators), args.faces, params)
+    cursor = EnumerationCursor(args.faces)
+    violations = scan_local_iso(list(P.relators), args.faces, params,
+                                classes=cursor)
     doc = _envelope(args)
     doc["presentation"] = json.loads(P.to_json())
     doc["violations"] = [json.loads(v.to_json_line()) for v in violations]
+    doc["complete"] = not cursor.truncated
     _emit_json(args, doc)
-    return 1 if violations else 0
+    if violations:
+        return 1
+    return TRUNCATED if cursor.truncated else 0
 
 
 def _cmd_special_cells(args, parser) -> int:
@@ -163,36 +168,36 @@ def _cmd_ball(args, parser) -> int:
     return 0
 
 
-def _paint_or_report(args, X: SquareComplex):
-    """None, after emitting a conflict artifact, when the complex admits no
-    consistent label-level coloring (the command then exits 1)."""
+def _walls_or_report(args, X: SquareComplex, kinds):
+    """The wall decomposition, or None after emitting an artifact that names
+    why there is none (the command then exits 1): a painting_conflict when
+    the complex admits no consistent label-level coloring, a tracing_error
+    when a red or blue turn is undefined."""
     try:
-        return paint(X)
+        return wall_decomposition(paint(X), kinds)
     except PaintingConflict as exc:
-        doc = _envelope(args)
-        doc["painting_conflict"] = str(exc)
-        _emit_json(args, doc)
-        return None
+        field, reason = "painting_conflict", str(exc)
+    except TracingError as exc:
+        field, reason = "tracing_error", str(exc)
+    doc = _envelope(args)
+    doc[field] = reason
+    _emit_json(args, doc)
+    return None
 
 
-def _wall_rows(painted, kinds):
-    X = painted.base
-    W = wall_decomposition(painted, kinds)
-    pairs = []
-    verts = sorted(X.vertices, key=_idkey)
-    for i, x in enumerate(verts):
-        for y in verts[i + 1:]:
-            pairs.append((x, y))
-    return W, check_wall_lower_bound(W, X, pairs)
+def _wall_rows(X: SquareComplex, W):
+    """Lower-bound rows for every vertex pair, grouped by source vertex in
+    canonical order."""
+    verts = X.skeleton.vertices
+    pairs = ((x, y) for i, x in enumerate(verts) for y in verts[i + 1:])
+    return check_wall_lower_bound(W, X, pairs)
 
 
 def _cmd_walls(args, parser) -> int:
     X = _load_complex(args, parser)
-    kinds = _kinds(args, parser)
-    painted = _paint_or_report(args, X)
-    if painted is None:
+    W = _walls_or_report(args, X, _kinds(args, parser))
+    if W is None:
         return 1
-    W = wall_decomposition(painted, kinds)
     if args.format == "dot":
         lines = [f"// {json.dumps(_envelope(args), sort_keys=True)}"]
         for i, H in enumerate(W.walls):
@@ -224,19 +229,19 @@ def _cmd_walls(args, parser) -> int:
 
 def _cmd_wall_metric(args, parser) -> int:
     X = _load_complex(args, parser)
-    kinds = _kinds(args, parser)
-    painted = _paint_or_report(args, X)
-    if painted is None:
+    W = _walls_or_report(args, X, _kinds(args, parser))
+    if W is None:
         return 1
-    _W, reports = _wall_rows(painted, kinds)
+    reports = _wall_rows(X, W)
     failed = any(r.status == "violation" for r in reports)
     if args.format == "csv":
         buf = io.StringIO()
         buf.write(f"# {json.dumps(_envelope(args), sort_keys=True)}\n")
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["x", "y", "d_edge", "d_wall", "bound", "status"])
+        token = {v: _vertex_token(v) for v in X.vertices}
         for r in reports:
-            w.writerow([_vertex_token(r.x), _vertex_token(r.y),
+            w.writerow([token[r.x], token[r.y],
                         r.d_edge, r.d_wall, r.bound, r.status])
         _emit(args, buf.getvalue())
     else:
@@ -252,11 +257,9 @@ def _cmd_wall_metric(args, parser) -> int:
 
 def _cmd_windows(args, parser) -> int:
     X = _load_complex(args, parser)
-    kinds = _kinds(args, parser)
-    painted = _paint_or_report(args, X)
-    if painted is None:
+    W = _walls_or_report(args, X, _kinds(args, parser))
+    if W is None:
         return 1
-    W = wall_decomposition(painted, kinds)
     try:
         x = _id_in(json.loads(args.src))
         y = _id_in(json.loads(args.dst))

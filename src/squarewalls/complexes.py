@@ -27,6 +27,7 @@ import json
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Hashable, Iterable, NamedTuple
 
 VALID_COLORS = ("regular", "red", "blue")
@@ -165,6 +166,13 @@ class SquareComplex:
                 deg[st.edge] += 1
         return deg
 
+    @cached_property
+    def skeleton(self) -> "SkeletonIndex":
+        """The canonical 1-skeleton index, built on first use. A property
+        rather than an attribute set here, so that the many complexes an
+        enumeration builds and never searches carry no extra slot."""
+        return SkeletonIndex.build(self)
+
     def edge_faces(self) -> dict:
         """edge id -> sorted list of (face id, slot) incidences."""
         out: dict[Hashable, list] = {e: [] for e in self.edges}
@@ -215,6 +223,45 @@ class SquareComplex:
                 color=fd.get("color", "regular"),
             )
         return cls(vertices, edges, faces)
+
+
+@dataclass(frozen=True)
+class SkeletonIndex:
+    """The 1-skeleton in canonical order: vertices sorted by _idkey, and for
+    each vertex position its (neighbour position, edge id) incidences with
+    edges in _idkey order, an edge (u, v) listed at u and then at v."""
+
+    vertices: tuple
+    position: dict  # vertex id -> index into vertices
+    adj: tuple  # per vertex position: tuple of (neighbour position, edge id)
+
+    @classmethod
+    def build(cls, X: "SquareComplex") -> "SkeletonIndex":
+        verts = tuple(sorted(X.vertices, key=_idkey))
+        pos = {v: i for i, v in enumerate(verts)}
+        adj: list[list] = [[] for _ in verts]
+        for eid, (u, v) in sorted(X.edges.items(), key=lambda kv: _idkey(kv[0])):
+            adj[pos[u]].append((pos[v], eid))
+            adj[pos[v]].append((pos[u], eid))
+        return cls(verts, pos, tuple(map(tuple, adj)))
+
+    def bfs(self, source: int) -> tuple[list, list]:
+        """Breadth-first search from a vertex position: per position the edge
+        distance (-1 when unreached) and the parent (position, edge id), which
+        is the first incidence in canonical order to reach it (None at the
+        source and when unreached)."""
+        dist = [-1] * len(self.vertices)
+        via: list = [None] * len(self.vertices)
+        dist[source] = 0
+        queue = [source]
+        for cur in queue:
+            d = dist[cur] + 1
+            for nxt, eid in self.adj[cur]:
+                if dist[nxt] < 0:
+                    dist[nxt] = d
+                    via[nxt] = (cur, eid)
+                    queue.append(nxt)
+        return dist, via
 
 
 def _id_out(x):

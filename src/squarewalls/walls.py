@@ -16,6 +16,7 @@ diagrams and two-collared configurations.
 from __future__ import annotations
 
 from collections import Counter, deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .complexes import SquareComplex, _idkey, shared_edge_pairs
@@ -407,29 +408,24 @@ def complement_components(X: SquareComplex, H: Hypergraph) -> ComplementReport:
     """Components of the vertex graph with the wall's dual edges removed.
     boundary_open records whether the wall meets the complex boundary (a dual
     edge lying on fewer than two faces)."""
-    deg = X.degrees()
-    adj: dict = {v: [] for v in X.vertices}
-    for eid, (u, v) in X.edges.items():
-        if eid in H.vertices:
-            continue
-        adj[u].append(v)
-        adj[v].append(u)
-    sides: dict = {}
+    idx = X.skeleton
+    side = [-1] * len(idx.vertices)
     count = 0
-    for v0 in sorted(X.vertices, key=_idkey):
-        if v0 in sides:
+    for v0 in range(len(side)):
+        if side[v0] >= 0:
             continue
-        queue = deque([v0])
-        sides[v0] = count
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in sides:
-                    sides[y] = count
-                    queue.append(y)
+        side[v0] = count
+        stack = [v0]
+        while stack:
+            x = stack.pop()
+            for y, eid in idx.adj[x]:
+                if side[y] < 0 and eid not in H.vertices:
+                    side[y] = count
+                    stack.append(y)
         count += 1
+    deg = X.degrees()
     boundary_open = any(deg[e] < 2 for e in H.vertices)
-    return ComplementReport(count, sides, boundary_open)
+    return ComplementReport(count, dict(zip(idx.vertices, side)), boundary_open)
 
 
 @dataclass(frozen=True)
@@ -466,47 +462,50 @@ def wall_distance(W: WallDecomposition, x, y) -> int:
     return sum(1 for rep in W.reports if rep.sides[x] != rep.sides[y])
 
 
-def bfs_distances(X: SquareComplex, source) -> dict:
-    adj: dict = {v: [] for v in X.vertices}
-    for eid, (u, v) in sorted(X.edges.items(), key=lambda kv: _idkey(kv[0])):
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for y, _e in adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
+class BFSTree(Mapping):
+    """Breadth-first tree of the 1-skeleton from one source, over the
+    complex's canonical index: maps every reachable vertex to its edge
+    distance and yields the deterministic geodesic to it."""
+
+    def __init__(self, X: SquareComplex, source):
+        self.source = source
+        self._index = X.skeleton
+        self._dist, self._via = self._index.bfs(self._index.position[source])
+
+    def __getitem__(self, v) -> int:
+        d = self._dist[self._index.position[v]]
+        if d < 0:
+            raise KeyError(v)
+        return d
+
+    def __iter__(self):
+        return (v for v, d in zip(self._index.vertices, self._dist) if d >= 0)
+
+    def __len__(self) -> int:
+        return sum(d >= 0 for d in self._dist)
+
+    def geodesic(self, y):
+        """(distance, edge ids of the deterministic shortest path to y)."""
+        i = self._index.position.get(y)
+        if i is None or self._dist[i] < 0:
+            raise ValueError("vertices are not connected")
+        path = []
+        while self._via[i] is not None:
+            i, eid = self._via[i]
+            path.append(eid)
+        path.reverse()
+        return len(path), path
+
+
+def bfs_distances(X: SquareComplex, source) -> BFSTree:
+    """Edge distances and geodesics from source: one breadth-first search
+    over the complex's cached index."""
+    return BFSTree(X, source)
 
 
 def bfs_geodesic(X: SquareComplex, x, y):
     """(distance, edge ids of one deterministic shortest path)."""
-    adj: dict = {v: [] for v in X.vertices}
-    for eid, (u, v) in sorted(X.edges.items(), key=lambda kv: _idkey(kv[0])):
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    prev = {x: None}
-    queue = deque([x])
-    while queue:
-        cur = queue.popleft()
-        if cur == y:
-            break
-        for nxt, eid in adj[cur]:
-            if nxt not in prev:
-                prev[nxt] = (cur, eid)
-                queue.append(nxt)
-    if y not in prev:
-        raise ValueError("vertices are not connected")
-    path = []
-    cur = y
-    while prev[cur] is not None:
-        cur, eid = prev[cur]
-        path.append(eid)
-    path.reverse()
-    return len(path), path
+    return bfs_distances(X, x).geodesic(y)
 
 
 @dataclass(frozen=True)
@@ -523,16 +522,24 @@ def check_wall_lower_bound(W: WallDecomposition, X: SquareComplex,
                            pairs) -> list[PairBoundReport]:
     """d_wall >= floor(d_edge / 15) per pair. A failing pair is only
     indeterminate when a wall crossing its geodesic has a complement count
-    other than two (the separation argument needs two sides)."""
+    other than two (the separation argument needs two sides).
+
+    One breadth-first search serves every consecutive pair with the same
+    source, so pairs grouped by source cost one search per source."""
     out = []
+    tree = None
     for x, y in pairs:
-        d_edge, geodesic = bfs_geodesic(X, x, y)
+        if tree is None or tree.source != x:
+            tree = bfs_distances(X, x)
+        d_edge = tree.get(y)
+        if d_edge is None:
+            raise ValueError("vertices are not connected")
         d_wall = wall_distance(W, x, y)
         bound = d_edge // 15
         if d_wall >= bound:
             status = "pass"
         else:
-            gset = set(geodesic)
+            gset = set(tree.geodesic(y)[1])
             bad = any(
                 rep.count != 2
                 for H, rep in zip(W.walls, W.reports)
@@ -728,8 +735,7 @@ def check_window_crossing(X: SquareComplex, W: WallDecomposition,
     if len(gamma) < MIN_GEODESIC:
         raise ValueError(f"geodesic must have at least {MIN_GEODESIC} edges")
     verts = _chain_vertices(X, gamma)
-    d, _path = bfs_geodesic(X, verts[0], verts[-1])
-    if d != len(gamma):
+    if bfs_distances(X, verts[0]).get(verts[-1]) != len(gamma):
         raise ValueError("path is not a geodesic")
     gset = set(gamma)
     single = []  # (crossing edge, wall index) for walls crossing exactly once

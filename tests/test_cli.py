@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from squarewalls import cli
 from squarewalls.cli import run
 from squarewalls.complexes import Face, SquareComplex, Step, build_quotient
+from squarewalls.enumeration import EnumerationCursor
 from squarewalls.fixtures import make_fixture
 from squarewalls.fulfill import AbstractComplex
 from squarewalls.presentation import Presentation
@@ -149,18 +151,56 @@ def test_enumerate_counts(tmp_path):
     assert rc == 0
     assert doc["classes"] == 49
     assert doc["classes_by_faces_labels"] == {"1,1": 49}
+    assert doc["complete"] is True
+
+
+def test_capped_enumeration_is_not_reported_complete(tmp_path):
+    rc, doc = jrun(tmp_path, "enumerate", "--faces", "3", "--parent-cap", "2",
+                   "--level-cap", "50")
+    assert rc == 3
+    assert doc["complete"] is False
+    three = {k: n for k, n in doc["classes_by_faces_labels"].items()
+             if k.startswith("3,")}
+    assert sum(three.values()) == 50
 
 
 def test_scan_iso_exit_codes(tmp_path):
     rc, doc = jrun(tmp_path, "scan-iso", "--rank", "6", "--density", "0.2",
                    "--seed", "1", "--faces", "1")
     assert rc == 0 and doc["violations"] == []
+    assert doc["complete"] is True
     rc, doc = jrun(tmp_path, "scan-iso", "--rank", "6", "--density", "0.2",
                    "--seed", "0", "--faces", "1")
     assert rc == 1
+    assert doc["complete"] is True
     v = doc["violations"][0]
     assert set(v) == {"complex", "assignment", "cancel", "size", "threshold"}
     assert v["cancel"] > v["threshold"]
+
+
+class _CappedCursor(EnumerationCursor):
+    """The one-face classes, then a cap reported as having trimmed: a capped
+    corpus without the cost of growing a real 3-face level."""
+
+    def __init__(self, max_faces):
+        super().__init__(1)
+
+    def __iter__(self):
+        yield from super().__iter__()
+        self.truncated = True
+
+
+def test_scan_iso_on_a_capped_corpus_is_not_clean(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "EnumerationCursor", _CappedCursor)
+    rc, doc = jrun(tmp_path, "scan-iso", "--rank", "6", "--density", "0.2",
+                   "--seed", "1", "--faces", "3")
+    assert rc == 3
+    assert doc["violations"] == [] and doc["complete"] is False
+    # a violation found on a capped corpus is still a failed check
+    rc, doc = jrun(tmp_path, "scan-iso", "--rank", "6", "--density", "0.2",
+                   "--seed", "0", "--faces", "3")
+    assert rc == 1
+    assert doc["violations"] and doc["complete"] is False
 
 
 def test_special_cells_exit_codes(tmp_path):
@@ -227,3 +267,23 @@ def test_painting_conflict_reported_not_raised(tmp_path):
         assert rc == 1
         assert "forced both" in doc["painting_conflict"]
         assert doc["config"]["command"] == cmd[0]
+
+
+def test_tracing_error_reported_not_raised(tmp_path):
+    # a face of this ball shares opposite edges with its strongly adjacent
+    # partner, so the red and blue turns through it are undefined
+    ball = tmp_path / "ball.json"
+    assert run(["ball", "--rank", "5", "--density", "0.15", "--seed", "144666",
+                "--radius", "2", "--out", str(ball)]) == 0
+    rc, doc = jrun(tmp_path, "walls", "--in", str(ball), "--kinds", "standard")
+    assert rc == 0 and doc["walls"]
+    for cmd in (["walls", "--in", str(ball)],
+                ["walls", "--in", str(ball), "--format", "dot"],
+                ["wall-metric", "--in", str(ball)],
+                ["windows", "--in", str(ball), "--from", "[]", "--to", "[1]"]):
+        rc, doc = jrun(tmp_path, *cmd)
+        assert rc == 1
+        assert doc["tracing_error"] == ("face 0 shares opposite edges; "
+                                        "turn pairing undefined")
+        assert doc["config"]["command"] == cmd[0]
+        assert "walls" not in doc and "rows" not in doc
