@@ -155,10 +155,6 @@ class CayleyBall:
             self.moves[(src, a)] = dst
             self.moves[(dst, -a)] = src
 
-    @property
-    def representatives(self) -> dict:
-        return {v: v for v in self.base.vertices}
-
     def trace_word(self, word):
         """Vertex reached reading the word from the origin, None if the path
         leaves the ball."""

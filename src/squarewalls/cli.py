@@ -2,9 +2,9 @@
 
 Every artifact embeds {version, config, seed}; outputs are canonicalized
 (sorted keys, sorted rows) so identical configurations produce identical
-bytes regardless of --threads. Exit codes: 0 = report written / checks pass,
-1 = a checked invariant failed, 2 = usage error, 3 = an enumeration cap cut
-the run short and it found nothing (the artifact says complete: false).
+bytes. Exit codes: 0 = report written / checks pass, 1 = a checked
+invariant failed, 2 = usage error, 3 = an enumeration cap cut the run short
+and it found nothing (the artifact says complete: false).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .walls import (
     wall_decomposition,
 )
 
-_NON_CONFIG = {"func", "out", "threads"}
+_NON_CONFIG = {"func", "out"}
 TRUNCATED = 3  # exit status of a capped enumeration that found nothing
 
 
@@ -306,7 +306,6 @@ def _cmd_fixtures(args, parser) -> int:
 def _add_common(sp):
     sp.add_argument("--format", choices=("json", "csv", "dot"), default="json")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
 
 

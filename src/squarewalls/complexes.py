@@ -173,14 +173,6 @@ class SquareComplex:
         enumeration builds and never searches carry no extra slot."""
         return SkeletonIndex.build(self)
 
-    def edge_faces(self) -> dict:
-        """edge id -> sorted list of (face id, slot) incidences."""
-        out: dict[Hashable, list] = {e: [] for e in self.edges}
-        for fid in sorted(self.faces, key=_idkey):
-            for j, st in enumerate(self.faces[fid].walk):
-                out[st.edge].append((fid, j))
-        return out
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:

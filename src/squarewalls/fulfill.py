@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .complexes import SquareComplex, cancellation
+from .complexes import SquareComplex, _idkey, cancellation
 from .presentation import (
     Word,
     enumerate_cyclically_reduced,
@@ -40,6 +40,9 @@ class FulfillError(ValueError):
 
 class InfeasibleError(RuntimeError):
     pass
+
+
+ENUMERATION_GUARD = 10_000_000  # largest word-tuple space the exact counts enumerate
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ class AbstractComplex:
     def slot_incidences(self) -> dict:
         """edge -> list of (face id, slot, position, sign, label), sorted."""
         out: dict = {}
-        for fid in sorted(self.base.faces, key=lambda x: (type(x).__name__, repr(x))):
+        for fid in sorted(self.base.faces, key=_idkey):
             f = self.base.faces[fid]
             for j, st in enumerate(f.walk):
                 k = f.position_of_slot(j)
@@ -137,14 +140,51 @@ def kappa(Y: AbstractComplex) -> FulfillStats:
     )
 
 
-def _label_constraints(Y: AbstractComplex) -> dict:
-    """label -> list of (edge, position, sign) over that label's faces."""
-    cons: dict = {lab: [] for lab in Y.label_order()}
+def _compile(Y: AbstractComplex):
+    """(label order, per-label constraints) for the search, or None when Y is
+    not locally injective. Labels come in canonical order; each label's
+    (edge, position, sign) constraints come in _idkey edge order."""
+    order = Y.label_order()
+    cons: dict = {lab: [] for lab in order}
     inc = Y.slot_incidences()
-    for edge in sorted(inc, key=lambda x: (type(x).__name__, repr(x))):
+    for edge in sorted(inc, key=_idkey):
+        seen = set()
         for _fid, _j, k, s, lab in inc[edge]:
+            if (lab, k) in seen:
+                return None
+            seen.add((lab, k))
             cons[lab].append((edge, k, s))
-    return cons
+    return order, [cons[lab] for lab in order]
+
+
+def _consistent_prefixes(cons: list, W):
+    """Depth-first over word choices, labels in compiled order and words in W
+    order: yields (prefix, letters) for every prefix of word indices whose
+    induced edge letters agree, the empty prefix first. letters is the live
+    edge -> letter map, valid until the generator resumes."""
+    letters: dict = {}
+
+    def rec(prefix: tuple):
+        yield prefix, letters
+        if len(prefix) == len(cons):
+            return
+        here = cons[len(prefix)]
+        for wi, w in enumerate(W):
+            trail = []
+            for edge, k, s in here:
+                lt = w[k] if s == 1 else -w[k]
+                have = letters.get(edge)
+                if have is None:
+                    letters[edge] = lt
+                    trail.append(edge)
+                elif have != lt:
+                    break
+            else:
+                yield from rec(prefix + (wi,))
+            for edge in trail:
+                del letters[edge]
+
+    return rec(())
 
 
 def _locally_injective(Y: AbstractComplex) -> bool:
@@ -164,41 +204,16 @@ def fulfill_search(Y: AbstractComplex, R: list[Word]) -> FulfillAssignment | Non
     """
     if not R:
         return None
-    if not _locally_injective(Y):
+    compiled = _compile(Y)
+    if compiled is None:
         return None
-    order = Y.label_order()
-    cons = _label_constraints(Y)
-    letters: dict = {}
-    chosen: dict = {}
-
-    def assign(i: int) -> bool:
-        if i == len(order):
-            return True
-        lab = order[i]
-        for w in R:
-            trail = []
-            ok = True
-            for edge, k, s in cons[lab]:
-                lt = w[k] if s == 1 else -w[k]
-                if edge in letters:
-                    if letters[edge] != lt:
-                        ok = False
-                        break
-                else:
-                    letters[edge] = lt
-                    trail.append(edge)
-            if ok:
-                chosen[lab] = w
-                if assign(i + 1):
-                    return True
-                del chosen[lab]
-            for edge in trail:
-                del letters[edge]
-        return False
-
-    if not assign(0):
-        return None
-    return FulfillAssignment(words=dict(chosen), edge_letters=dict(letters))
+    order, cons = compiled
+    for prefix, letters in _consistent_prefixes(cons, R):
+        if len(prefix) == len(order):
+            return FulfillAssignment(
+                words={lab: R[wi] for lab, wi in zip(order, prefix)},
+                edge_letters=dict(letters))
+    return None
 
 
 def check_assignment(Y: AbstractComplex, asg: FulfillAssignment) -> bool:
@@ -233,8 +248,7 @@ class ExactFulfillReport:
     pool: int
 
 
-def exact_fulfill_probability(Y: AbstractComplex, m: int,
-                              guard: int = 10_000_000) -> ExactFulfillReport:
+def exact_fulfill_probability(Y: AbstractComplex, m: int) -> ExactFulfillReport:
     """Exact fulfill probability for independent uniform words, one per label,
     by exhaustive prefix enumeration in the canonical label order.
 
@@ -243,41 +257,16 @@ def exact_fulfill_probability(Y: AbstractComplex, m: int,
     """
     n = Y.n_labels
     pool = w_count(m)
-    if pool ** n > guard:
+    if pool ** n > ENUMERATION_GUARD:
         raise InfeasibleError(f"{pool}^{n} tuples exceed the enumeration guard")
-    if not _locally_injective(Y):
+    compiled = _compile(Y)
+    if compiled is None:
         z = (0.0,) * n
         return ExactFulfillReport(0.0, z, z, (0,) * n, pool)
-    W = enumerate_cyclically_reduced(m)
-    order = Y.label_order()
-    cons = _label_constraints(Y)
     counts = [0] * (n + 1)
-    counts[0] = 1
-    letters: dict = {}
-
-    def rec(i: int):
-        if i == n:
-            return
-        lab = order[i]
-        for w in W:
-            trail = []
-            ok = True
-            for edge, k, s in cons[lab]:
-                lt = w[k] if s == 1 else -w[k]
-                if edge in letters:
-                    if letters[edge] != lt:
-                        ok = False
-                        break
-                else:
-                    letters[edge] = lt
-                    trail.append(edge)
-            if ok:
-                counts[i + 1] += 1
-                rec(i + 1)
-            for edge in trail:
-                del letters[edge]
-
-    rec(0)
+    W = enumerate_cyclically_reduced(m)
+    for prefix, _letters in _consistent_prefixes(compiled[1], W):
+        counts[len(prefix)] += 1
     p = []
     ratios = []
     prev = 1.0
@@ -310,37 +299,12 @@ def exact_set_fulfill_probability(Y: AbstractComplex, m: int, d: float,
     pool = w_count(m)
     r = relator_count(m, d)
     W = enumerate_cyclically_reduced(m)
-    if pool ** n > 10_000_000:
+    if pool ** n > ENUMERATION_GUARD:
         raise InfeasibleError("feasible-tuple table too large")
-    feasible: set[tuple[int, ...]] = set()
-    if _locally_injective(Y):
-        order = Y.label_order()
-        cons = _label_constraints(Y)
-        letters: dict = {}
-
-        def rec(i: int, prefix: tuple[int, ...]):
-            if i == n:
-                feasible.add(prefix)
-                return
-            lab = order[i]
-            for wi, w in enumerate(W):
-                trail = []
-                ok = True
-                for edge, k, s in cons[lab]:
-                    lt = w[k] if s == 1 else -w[k]
-                    if edge in letters:
-                        if letters[edge] != lt:
-                            ok = False
-                            break
-                    else:
-                        letters[edge] = lt
-                        trail.append(edge)
-                if ok:
-                    rec(i + 1, prefix + (wi,))
-                for edge in trail:
-                    del letters[edge]
-
-        rec(0, ())
+    compiled = _compile(Y)
+    feasible = set() if compiled is None else {
+        prefix for prefix, _letters in _consistent_prefixes(compiled[1], W)
+        if len(prefix) == n}
     if n == 1:
         good = len(feasible)
         prob = 1.0 - math.comb(pool - good, r) / math.comb(pool, r)

@@ -39,11 +39,6 @@ class ExtractionFailed(RuntimeError):
 # -- strongly adjacent pairs and painting ---------------------------------------
 
 
-def find_strongly_adjacent(X: SquareComplex):
-    """(pairs sharing exactly two edges, pairs sharing three or more)."""
-    return shared_edge_pairs(X)
-
-
 def find_pair_neighbors(X: SquareComplex, pairs):
     """Third faces gluing to at least two edges of a pair's union boundary."""
     out = []
@@ -96,7 +91,7 @@ def paint(X: SquareComplex, pairs=None) -> PaintedComplex:
     stay regular. Caller-supplied pairs must already form a matching.
     """
     if pairs is None:
-        cand, _violations = find_strongly_adjacent(X)
+        cand, _violations = shared_edge_pairs(X)
         matched: set = set()
         chosen = []
         for f1, f2, shared in sorted(

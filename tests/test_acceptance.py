@@ -626,15 +626,14 @@ def test_criterion_13_cli_determinism(tmp_path):
     for name, argv in commands.items():
         outs = []
         rcs = []
-        for i, threads in enumerate(("1", "1", "8")):
+        for i in range(3):
             out = tmp_path / f"{name}-{i}.out"
-            rcs.append(cli_run([*argv, "--threads", threads,
-                                "--out", str(out)]))
+            rcs.append(cli_run([*argv, "--out", str(out)]))
             outs.append(out.read_bytes())
         assert rcs[0] == rcs[1] == rcs[2], name
         assert outs[0] == outs[1] == outs[2], name
     elapsed = time.perf_counter() - t0
     verdict(13, True, "cli-determinism",
-            f"all {len(commands)} commands, run twice and with --threads 1 "
-            f"vs 8, emit byte-identical artifacts", elapsed, 120)
+            f"all {len(commands)} commands, run three times, emit "
+            f"byte-identical artifacts", elapsed, 120)
     assert elapsed <= 120

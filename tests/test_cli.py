@@ -214,16 +214,6 @@ def test_special_cells_exit_codes(tmp_path):
     assert doc["report"]["cross_witness_count"] > 0
 
 
-def test_threads_flag_keeps_bytes_identical(tmp_path):
-    rc, _ = jrun(tmp_path, "fixtures", "--name", "z2", "--radius", "3",
-                 name="z2.json")
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    base = ["wall-metric", "--in", str(tmp_path / "z2.json"), "--format", "csv"]
-    assert run([*base, "--threads", "1", "--out", str(a)]) == 0
-    assert run([*base, "--threads", "8", "--out", str(b)]) == 0
-    assert read(a) == read(b)
-
-
 def test_dot_output(tmp_path):
     rc, _ = jrun(tmp_path, "fixtures", "--name", "annulus", "--k", "4",
                  name="ann.json")

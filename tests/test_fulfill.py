@@ -71,6 +71,12 @@ def oracle_search(Y, R):
     return None
 
 
+def oracle_tuple_count(Y, W):
+    order = Y.label_order()
+    return sum(1 for combo in product(W, repeat=len(order))
+               if oracle_reads_consistently(Y, dict(zip(order, combo))))
+
+
 # -- kappa ---------------------------------------------------------------------
 
 
@@ -230,15 +236,16 @@ def test_search_allows_repeating_a_word_across_labels():
     assert asg.words == {1: w, 2: w}
 
 
-def test_search_agrees_with_all_assignment_oracle():
+@pytest.mark.parametrize("max_label", [2, 3], ids=["labels-1-2", "labels-1-3"])
+def test_search_agrees_with_all_assignment_oracle(max_label):
     rng = random.Random(23)
-    found = none = 0
+    found = none = deepest = counted = 0
     for trial in range(250):
         n = rng.randint(1, 3)
         slots = [(f, j) for f in range(n) for j in range(4)]
         idents = [(a, b, rng.choice((1, -1)))
                   for a, b in (rng.sample(slots, 2) for _ in range(rng.randint(1, n + 1)))]
-        labels = [rng.randint(1, 2) for _ in range(n)]
+        labels = [rng.randint(1, max_label) for _ in range(n)]
         used = sorted(set(labels))
         labels = [used.index(lab) + 1 for lab in labels]
         cx = build_quotient(n, idents, labels=labels)
@@ -248,6 +255,7 @@ def test_search_agrees_with_all_assignment_oracle():
         R = list(sample_presentation(2, rng.choice((0.15, 0.2, 0.25)), trial).relators)
         expect = oracle_search(Y, R)
         got = fulfill_search(Y, R)
+        deepest += Y.n_labels == 3
         if expect is None:
             none += 1
             assert got is None
@@ -256,7 +264,16 @@ def test_search_agrees_with_all_assignment_oracle():
             assert got is not None
             assert got.words == expect  # identical deterministic order
             assert check_assignment(Y, got)
+        if Y.n_labels == 2 and counted < 15 and oracle_injective(Y):
+            # full-depth prefix counts of the kernel against the oracle's
+            counted += 1
+            tuples = oracle_tuple_count(Y, W2)
+            assert exact_fulfill_probability(Y, 2).counts[-1] == tuples
+            assert exact_set_fulfill_probability(Y, 2, 0.25).feasible_tuples == tuples
     assert found >= 20 and none >= 20
+    assert counted == 15
+    if max_label == 3:
+        assert deepest >= 10  # draws that reach the third search level
 
 
 # -- probability bound ------------------------------------------------------------
@@ -374,6 +391,8 @@ def test_exact_guard_raises():
         3, [((0, 0), (1, 0), 1), ((1, 1), (2, 1), 1)], [1, 2, 3])
     with pytest.raises(InfeasibleError):
         exact_fulfill_probability(Y, 3)  # 630^3 tuples
+    with pytest.raises(InfeasibleError):
+        exact_set_fulfill_probability(Y, 3, 0.25)
 
 
 # -- set-level probabilities --------------------------------------------------------

@@ -5,7 +5,13 @@ import itertools
 
 import pytest
 
-from squarewalls.complexes import Face, SquareComplex, Step, generalized_boundary_length
+from squarewalls.complexes import (
+    Face,
+    SquareComplex,
+    Step,
+    generalized_boundary_length,
+    shared_edge_pairs,
+)
 from squarewalls.fixtures import (
     annulus,
     comparison,
@@ -32,7 +38,6 @@ from squarewalls.walls import (
     extract_collared_diagram,
     find_house_diagrams,
     find_pair_neighbors,
-    find_strongly_adjacent,
     find_two_collared,
     is_embedded_tree,
     paint,
@@ -134,7 +139,7 @@ def test_paint_overlapping_adjacencies_pick_canonical_matching():
         "H": Face((Step("e3", 1), Step("e4", 1), Step("h3", 1), Step("h4", 1)), label=3),
     }
     cx = SquareComplex(["v0", "v1", "v2", "v3", "x", "y"], edges, faces)
-    pairs, violations = find_strongly_adjacent(cx)
+    pairs, violations = shared_edge_pairs(cx)
     assert len(pairs) == 2 and not violations
     painted = paint(cx)
     assert [(f1, f2) for f1, f2, _ in painted.pairs] == [("F", "G")]
@@ -146,7 +151,7 @@ def test_paint_overlapping_adjacencies_pick_canonical_matching():
 
 def test_pair_neighbors_reports_third_face():
     cx = special_pairs()
-    pairs, _ = find_strongly_adjacent(cx)
+    pairs, _ = shared_edge_pairs(cx)
     assert pairs == [("A", "B", ("bm", "md"))]
     assert find_pair_neighbors(cx, pairs) == [(("A", "B"), "C", ("ab", "bc"))]
 
