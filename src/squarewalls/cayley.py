@@ -2,13 +2,22 @@
 
 words_equal is a bounded van Kampen prover: breadth-first rewriting of the
 boundary word by relator insertions, capped by the area bound the
-isoperimetric inequality grants for a boundary of that length. build_ball
-grows the ball by relator closure in the style of coset enumeration: edges
-are traced generator by generator, every relator path missing a single edge
-is completed, closed paths that disagree about their endpoint merge vertices
-through a union-find, and the table is stabilized out to a safety margin of
-two before restricting to the requested radius (a square relator cannot
-identify radius-r vertices without passing through radius r+2).
+isoperimetric inequality grants for a boundary of that length. It answers
+"distinct" only when the abelianization separates the words, and
+"undecided" when the search is cut without a diagram.
+
+build_ball grows the ball by coset enumeration with Felsch-style deduction
+processing (Holt, Eick, O'Brien, Handbook of Computational Group Theory,
+ch. 5). Every vertex within distance r+2 of the origin gets all 2n
+neighbours, each definition created as a new vertex; hard_cap bounds the
+number of vertices created. Each new edge (x, g) goes on a deduction stack,
+which is drained at once: a pop scans from x the relator variants that begin
+with g, completes a path missing a single edge, and merges the endpoints of
+a closed path that disagree, through a union-find that keeps the smaller id.
+Edges a merge moves onto the surviving vertex are pushed in turn. Distances
+are recomputed once per growth round, and the stabilized table is restricted
+to the requested radius (a square relator cannot identify radius-r vertices
+without passing through radius r+2).
 """
 
 from __future__ import annotations
@@ -36,6 +45,9 @@ class BudgetExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class WordProblemBudget:
+    """hard_cap bounds the search states of words_equal and the vertices
+    build_ball creates."""
+
     epsilon0: float = 0.05
     hard_cap: int = 1_000_000
 
@@ -63,6 +75,39 @@ def _relator_variants(P: Presentation) -> tuple:
     return tuple(out)
 
 
+def _exponent_sums(word, rank: int) -> list:
+    sums = [0] * rank
+    for l in word:
+        sums[abs(l) - 1] += 1 if l > 0 else -1
+    return sums
+
+
+def _in_row_lattice(rows, target) -> bool:
+    """Is target an integer combination of rows?  Exact echelon form: each
+    column's pivot comes from Euclidean steps among the rows nonzero there,
+    and target is reduced by the pivot as soon as it is found."""
+    rows = [list(row) for row in rows]
+    t = list(target)
+    for col in range(len(t)):
+        live = [row for row in rows if row[col]]
+        rows = [row for row in rows if not row[col]]
+        while len(live) > 1:
+            p = min(live, key=lambda row: abs(row[col]))
+            rest = []
+            for row in live:
+                if row is not p:
+                    q = row[col] // p[col]
+                    row = [a - q * b for a, b in zip(row, p)]
+                (rest if row[col] else rows).append(row)
+            live = rest
+        q, rem = divmod(t[col], live[0][col]) if live else (0, t[col])
+        if rem:
+            return False
+        if q:
+            t = [a - q * b for a, b in zip(t, live[0])]
+    return True
+
+
 @dataclass(frozen=True)
 class WordsEqualResult:
     status: str  # "equal" | "distinct" | "undecided"
@@ -87,9 +132,11 @@ def words_equal(P: Presentation, u, v,
                 budget: WordProblemBudget | None = None) -> WordsEqualResult:
     """Do u and v spell the same group element?
 
-    "equal" always carries a replayable witness; "distinct" means the bounded
-    search space (area cap, word length cap |u·v⁻¹|+8) holds no diagram;
-    "undecided" means the hard cap tripped first.
+    "equal" always carries a replayable witness. "distinct" is answered only
+    with a certificate: the exponent sums of u·v⁻¹ lie outside the integer
+    row lattice of the relators' exponent sums, so u and v differ already in
+    the abelianization. Otherwise "undecided" means the bounded search (area
+    cap, word length cap |u·v⁻¹|+8, hard cap on states) found no diagram.
     """
     budget = budget or WordProblemBudget()
     _check_budget(P, budget)
@@ -99,6 +146,9 @@ def words_equal(P: Presentation, u, v,
     w0 = free_reduce(u + inverse_word(v))
     if not w0:
         return WordsEqualResult("equal", faces=0)
+    rows = [_exponent_sums(rel, P.rank) for rel in P.relators]
+    if not _in_row_lattice(rows, _exponent_sums(w0, P.rank)):
+        return WordsEqualResult("distinct")
     cap = budget.area_cap(len(u) + len(v), P.density)
     maxlen = len(w0) + 8
     variants = _relator_variants(P)
@@ -130,7 +180,7 @@ def words_equal(P: Presentation, u, v,
                     assert replay_witness(P, u, v, result.witness)
                     return result
                 queue.append((nxt, depth + 1))
-    return WordsEqualResult("distinct", states=states)
+    return WordsEqualResult("undecided", states=states)
 
 
 # -- ball construction ------------------------------------------------------------
@@ -141,15 +191,18 @@ class CayleyBall:
 
     Vertex ids are the canonical shortlex-geodesic representative words; edge
     (w, a) runs from w to w·a for a positive letter a; faces are numbered and
-    read a cyclic rotation of their relator.
+    read a cyclic rotation of their relator. work holds build_ball's
+    deterministic counts (cosets_defined, coincidences, relator_scans); it is
+    not part of to_json.
     """
 
     def __init__(self, base: SquareComplex, radius: int,
-                 presentation: Presentation, complete: dict):
+                 presentation: Presentation, complete: dict, work: dict):
         self.base = base
         self.radius = radius
         self.presentation = presentation
         self.complete = complete
+        self.work = work
         self.moves: dict = {}
         for (_, a), (src, dst) in self.base.edges.items():
             self.moves[(src, a)] = dst
@@ -183,11 +236,15 @@ def build_ball(P: Presentation, r: int,
     budget = budget or WordProblemBudget()
     _check_budget(P, budget)
     gens = sorted(alphabet(P.rank), key=letter_key)
-    variants = _relator_variants(P)
+    by_first: dict = {g: [] for g in gens}
+    for var in _relator_variants(P):
+        by_first[var[0]].append(var)
     grow_to = r + 2
 
     parent = [0]
-    nbr: list[dict] = [{}]
+    nbr: list = [{}]
+    stack: list = []  # deductions (x, g): edge x -g-> still to be scanned
+    coincidences = scans = 0
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -200,94 +257,110 @@ def build_ball(P: Presentation, r: int,
         return None if y is None else find(y)
 
     def distances() -> dict:
+        """Distance from the origin of every vertex within grow_to."""
         dist = {find(0): 0}
-        queue = deque([find(0)])
-        while queue:
-            x = queue.popleft()
-            for g in gens:
-                y = neighbor(x, g)
-                if y is not None and y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
+        frontier = [find(0)]
+        for d in range(1, grow_to + 1):
+            reached = []
+            for x in frontier:
+                for y in nbr[x].values():
+                    y = find(y)
+                    if y not in dist:
+                        dist[y] = d
+                        reached.append(y)
+            frontier = reached
         return dist
 
-    def merge(a: int, b: int, dist: dict) -> bool:
+    def merge(a: int, b: int) -> None:
+        nonlocal coincidences
         queue = deque([(a, b)])
-        changed = False
         while queue:
             x, y = queue.popleft()
             x, y = find(x), find(y)
             if x == y:
                 continue
-            # keep the vertex closer to the origin as representative
-            if (dist.get(y, len(parent)), y) < (dist.get(x, len(parent)), x):
+            if y < x:
                 x, y = y, x
             parent[y] = x
-            changed = True
-            for g, z in list(nbr[y].items()):
+            coincidences += 1
+            for g, z in nbr[y].items():
                 cur = nbr[x].get(g)
                 if cur is None:
                     nbr[x][g] = find(z)
+                    stack.append((x, g))
                 elif find(cur) != find(z):
                     queue.append((cur, z))
-        return changed
+            nbr[y] = None  # a merged vertex is only ever read through find
 
-    def close_once(dist: dict) -> bool:
-        changed = False
-        for v in sorted(dist):
+    def drain() -> None:
+        """Scan every relator cycle through each pushed edge until no
+        deduction is left: complete paths merge their endpoints, paths
+        missing one edge get it."""
+        nonlocal scans
+        while stack:
+            x0, g = stack.pop()
+            variants = by_first[g]
+            scans += len(variants)
             for var in variants:
-                x, i = find(v), 0
+                v = find(x0)
+                x, i = v, 0  # x and y stay roots: nothing merges mid-scan
                 while i < 4:
-                    step = neighbor(x, var[i])
+                    step = nbr[x].get(var[i])
                     if step is None:
                         break
-                    x, i = step, i + 1
+                    x, i = find(step), i + 1
                 if i == 4:
-                    if x != find(v) and merge(x, v, dist):
-                        changed = True
+                    if x != v:
+                        merge(x, v)
                     continue
-                y, j = find(v), 4
+                y, j = v, 4
                 while j > i + 1:
-                    step = neighbor(y, -var[j - 1])
+                    step = nbr[y].get(-var[j - 1])
                     if step is None:
                         break
-                    y, j = step, j - 1
+                    y, j = find(step), j - 1
                 if j == i + 1:  # one missing edge: deduce it
-                    x, y = find(x), find(y)
                     other = nbr[y].get(-var[i])
                     if other is not None:
                         # y already has a var[i]-predecessor: coincidence
-                        if merge(x, other, dist):
-                            changed = True
+                        merge(x, other)
                     else:
                         nbr[x][var[i]] = y
                         nbr[y][-var[i]] = x
-                        changed = True
-        return changed
+                        stack.append((x, var[i]))
 
     while True:
         dist = distances()
-        changed = False
+        defined = False
         for v in sorted(dist, key=lambda x: (dist[x], x)):
             if dist[v] >= grow_to:
                 continue
             for g in gens:
                 if neighbor(v, g) is None:
+                    x = find(v)
                     parent.append(len(parent))
-                    nbr.append({-g: v})
+                    nbr.append({-g: x})
                     if len(parent) > budget.hard_cap:
                         raise BudgetExhausted(
                             f"more than {budget.hard_cap} vertices created")
-                    nbr[find(v)][g] = len(parent) - 1
-                    changed = True
-        dist = distances()
-        while close_once(dist):
-            changed = True
-            dist = distances()
-        if not changed:
+                    nbr[x][g] = len(parent) - 1
+                    stack.append((x, g))
+                    drain()
+                    defined = True
+        if not defined:
             break
 
-    dist = distances()
+    work = {"cosets_defined": len(parent) - 1, "coincidences": coincidences,
+            "relator_scans": scans}
+    return _ball_from_table(P, r, dist, find, neighbor, work)
+
+
+def _ball_from_table(P: Presentation, r: int, dist: dict, find, neighbor,
+                     work: dict) -> CayleyBall:
+    """The radius-r ball of a closed coset table, whose vertex ids are
+    renamed to their shortlex-geodesic words; dist holds the distance from
+    the origin of at least every table vertex within radius r."""
+    gens = sorted(alphabet(P.rank), key=letter_key)
     live = sorted((x for x in dist if dist[x] <= r), key=lambda x: (dist[x], x))
     live_set = set(live)
 
@@ -357,7 +430,7 @@ def build_ball(P: Presentation, r: int,
     for v in live:
         present = len(face_corners.get(rep[v], ()))
         complete[rep[v]] = present == _incident_face_count(P, v, neighbor, find)
-    return CayleyBall(base, r, P, complete)
+    return CayleyBall(base, r, P, complete, work)
 
 
 def _incident_face_count(P, v, neighbor, find):

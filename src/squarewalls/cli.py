@@ -3,8 +3,9 @@
 Every artifact embeds {version, config, seed}; outputs are canonicalized
 (sorted keys, sorted rows) so identical configurations produce identical
 bytes. Exit codes: 0 = report written / checks pass, 1 = a checked
-invariant failed, 2 = usage error, 3 = an enumeration cap cut the run short
-and it found nothing (the artifact says complete: false).
+invariant failed, 2 = usage error, 3 = an enumeration cap or the ball's
+vertex budget cut the run short and it found nothing (the artifact says
+complete: false).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import sys
 
 from . import __version__
-from .cayley import WordProblemBudget, build_ball
+from .cayley import BudgetExhausted, WordProblemBudget, build_ball
 from .complexes import IsoParams, SquareComplex, _id_in, _id_out, _idkey
 from .enumeration import EnumerationCursor, check_special_cells, scan_local_iso
 from .fixtures import REGISTRY, make_fixture
@@ -35,7 +36,7 @@ from .walls import (
 )
 
 _NON_CONFIG = {"func", "out"}
-TRUNCATED = 3  # exit status of a capped enumeration that found nothing
+TRUNCATED = 3  # exit status of a capped run that found nothing
 
 
 def _config(args) -> dict:
@@ -161,9 +162,18 @@ def _cmd_ball(args, parser) -> int:
     else:
         P = sample_presentation(args.rank, args.density, args.seed)
     budget = WordProblemBudget(hard_cap=args.hard_cap)
-    ball = build_ball(P, args.radius, budget)
+    try:
+        ball = build_ball(P, args.radius, budget)
+    except BudgetExhausted as exc:
+        doc = _envelope(args)
+        doc["complete"] = False
+        doc["budget_exhausted"] = str(exc)
+        _emit_json(args, doc)
+        return TRUNCATED
     doc = json.loads(ball.to_json())
     doc.update(_envelope(args))
+    doc["work"] = ball.work
+    doc["incomplete_vertices"] = sum(not c for c in ball.complete.values())
     _emit_json(args, doc)
     return 0
 

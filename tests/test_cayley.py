@@ -13,6 +13,7 @@ from squarewalls.cayley import (
     replay_witness,
     words_equal,
 )
+from squarewalls.cayley import _in_row_lattice
 from squarewalls.complexes import SquareComplex
 from squarewalls.fixtures import make_fixture
 from squarewalls.presentation import (
@@ -80,6 +81,18 @@ def test_lattice_membership_helper():
     assert not lattice_contains([[2, 4]], [2, 2])
     assert lattice_contains([], [0, 0])
     assert not lattice_contains([], [1, 0])
+
+
+def test_row_lattice_agrees_with_helper():
+    rng = random.Random(3)
+    for _ in range(400):
+        n, m = rng.randint(1, 5), rng.randint(0, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        target = [rng.randint(-4, 4) for _ in range(n)]
+        if rows and rng.random() < 0.5:  # a member, often a nonzero one
+            target = [sum(rng.randint(-2, 2) * r[c] for r in rows)
+                      for c in range(n)]
+        assert _in_row_lattice(rows, target) == lattice_contains(rows, target)
 
 
 def test_area_cap_values():
@@ -268,6 +281,35 @@ def test_sampled_ball_agrees_with_word_prover():
     for _ in range(4):
         u, v = rng.sample(verts, 2)
         assert words_equal(P5, u, v).status != "equal"
+
+
+def test_distinct_only_with_a_lattice_certificate():
+    # every edge relation u·a = v of this ball holds in the group; the 7 that
+    # need more faces than the area cap grants are undecided, not distinct
+    P = sample_presentation(5, 0.15, 1)
+    b = build_ball(P, 2)
+    statuses = {}
+    for (w, g), (_src, dst) in b.base.edges.items():
+        u = w + (g,)
+        if free_reduce(u) != dst:
+            r = words_equal(P, u, dst)
+            statuses[r.status] = statuses.get(r.status, 0) + 1
+            if r.status == "equal":
+                assert replay_witness(P, u, dst, r.witness)
+    assert statuses == {"equal": 13, "undecided": 7}
+    # pairs of ball vertices: distinct exactly when the abelianizations differ
+    rng = random.Random(2)
+    verts = sorted(b.base.vertices)
+    verdicts = set()
+    for _ in range(12):
+        u, v = rng.sample(verts, 2)
+        r = words_equal(P, u, v)
+        if abelian_consistent(P, u, v):
+            assert r.status in ("equal", "undecided")
+        else:
+            assert r.status == "distinct" and r.states == 0
+        verdicts.add(r.status)
+    assert "distinct" in verdicts
 
 
 def test_trace_word_leaving_ball():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from squarewalls import cli
+from squarewalls.cayley import build_ball
 from squarewalls.cli import run
 from squarewalls.complexes import Face, SquareComplex, Step, build_quotient
 from squarewalls.enumeration import EnumerationCursor
@@ -70,6 +71,29 @@ def test_ball_pipeline(tmp_path):
     assert rc == 0
     assert walls["walls"] and all(w["embedded_tree"] for w in walls["walls"])
     assert all(w["kind"] == "standard" for w in walls["walls"])
+
+
+def test_ball_artifact_carries_work_counters(tmp_path):
+    pres = tmp_path / "pres.json"
+    pres.write_text(TORUS.to_json())
+    rc, doc = jrun(tmp_path, "ball", "--in", str(pres), "--radius", "3")
+    assert rc == 0
+    ball = build_ball(TORUS, 3)
+    assert doc["work"] == ball.work and ball.work["cosets_defined"] > 0
+    # only the 5 vertices within distance 1 carry all four of their squares
+    assert doc["incomplete_vertices"] == 20
+    envelope = {"version", "config", "seed", "work", "incomplete_vertices"}
+    assert {k: v for k, v in doc.items() if k not in envelope} == \
+        json.loads(ball.to_json())
+
+
+def test_ball_budget_exhausted_is_reported_not_raised(tmp_path):
+    rc, doc = jrun(tmp_path, "ball", "--rank", "2", "--density", "0.1",
+                   "--seed", "0", "--radius", "3", "--hard-cap", "10")
+    assert rc == cli.TRUNCATED == 3
+    assert doc["complete"] is False
+    assert doc["budget_exhausted"] == "more than 10 vertices created"
+    assert doc["config"]["hard_cap"] == 10 and "vertices" not in doc
 
 
 def test_wall_metric_grid_csv(tmp_path):
