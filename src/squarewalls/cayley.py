@@ -384,20 +384,33 @@ def _ball_from_table(P: Presentation, r: int, dist: dict, find, neighbor,
             if w in live_set:
                 edges[(rep[v], g)] = (rep[v], rep[w])
 
+    # ambient[v] holds the faces of the ambient Cayley complex at v, keyed by
+    # their vertex cycle up to rotation and reversal. Tracing the relator
+    # rotations from v finds them all: a closed trace of the inverse relator
+    # is the reversal of one of these. No cyclically reduced length-4 word
+    # is a rotation of its own inverse, so the key tells faces apart exactly
+    # as the walk key below does.
     faces = {}
     seen_walks: dict = {}
+    ambient: dict = {}
     for v in live:
+        at_v = ambient[v] = set()
         for ri, relator in enumerate(P.relators):
             for k in range(4):
                 rot = relator[k:] + relator[:k]
                 path = [find(v)]
                 for l in rot:
                     nxt = neighbor(path[-1], l)
-                    if nxt is None or nxt not in live_set:
-                        path = None
+                    if nxt is None:
                         break
                     path.append(nxt)
-                if path is None or path[-1] != find(v):
+                if len(path) != 5 or path[-1] != path[0]:
+                    continue
+                cycle = tuple(path[:4])
+                rev = cycle[::-1]
+                at_v.add((ri, min(min(cycle[t:] + cycle[:t] for t in range(4)),
+                                  min(rev[t:] + rev[:t] for t in range(4)))))
+                if not live_set.issuperset(cycle):
                     continue
                 steps = []
                 for idx, l in enumerate(rot):
@@ -429,35 +442,8 @@ def _ball_from_table(P: Presentation, r: int, dist: dict, find, neighbor,
     complete = {}
     for v in live:
         present = len(face_corners.get(rep[v], ()))
-        complete[rep[v]] = present == _incident_face_count(P, v, neighbor, find)
+        complete[rep[v]] = present == len(ambient[v])
     return CayleyBall(base, r, P, complete, work)
-
-
-def _incident_face_count(P, v, neighbor, find):
-    """Faces of the ambient Cayley complex incident to v, read off the
-    stabilized table: closed relator traces from v up to rotation and
-    reversal.  No cyclically reduced length-4 word is a rotation of its own
-    inverse, so the dihedral canonicalization matches the rotational face
-    signature used by build_ball face for face."""
-    seen = set()
-    for ri, relator in enumerate(P.relators):
-        for word in (relator, inverse_word(relator)):
-            for k in range(4):
-                rot = word[k:] + word[:k]
-                path = [find(v)]
-                for l in rot:
-                    nxt = neighbor(path[-1], l)
-                    if nxt is None:
-                        break
-                    path.append(nxt)
-                if len(path) != 5 or path[-1] != path[0]:
-                    continue
-                cycle = tuple(path[:4])
-                rev = tuple(reversed(cycle))
-                canon = min(min(cycle[t:] + cycle[:t] for t in range(4)),
-                            min(rev[t:] + rev[:t] for t in range(4)))
-                seen.add((ri, canon))
-    return len(seen)
 
 
 # -- geodesics ---------------------------------------------------------------------

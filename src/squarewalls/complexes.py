@@ -24,9 +24,8 @@ slot j, traversed with step direction dir, is word[t]^(dir*o).
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Hashable, Iterable, NamedTuple
 
@@ -34,10 +33,6 @@ VALID_COLORS = ("regular", "red", "blue")
 
 
 class ComplexStructureError(ValueError):
-    pass
-
-
-class HornError(ValueError):
     pass
 
 
@@ -141,9 +136,6 @@ class SquareComplex:
     def step_head(self, st: Step) -> Hashable:
         src, dst = self.edges[st.edge]
         return dst if st.dir == 1 else src
-
-    def walk_vertices(self, walk: Iterable[Step]) -> list:
-        return [self.step_tail(st) for st in walk]
 
     # -- measurements -------------------------------------------------------
 
@@ -423,55 +415,13 @@ class Diagram:
 
 
 @dataclass(frozen=True)
-class DiagramWithHorns:
-    base: Diagram
-    complex: SquareComplex  # base complex plus glued horn faces
-    horns: tuple[tuple[Hashable, Hashable], ...]  # (horn face id, partner-in-base id)
-
-
-@dataclass(frozen=True)
-class DiagramWithLegs:
-    """Disc basis with small attached complexes ("legs").
-
-    Each leg is a connected complex of at most K faces containing at least one
-    external (boundary) vertex of the basis; an edge may belong to at most two
-    legs.
-    """
-
-    disc_basis: Diagram
-    legs: tuple[SquareComplex, ...]
-    K: int
-    attachments: tuple[Hashable, ...]  # one external vertex of the basis per leg
-
-    def __post_init__(self):
-        ext = set(self.disc_basis.complex.walk_vertices(self.disc_basis.boundary))
-        if len(self.attachments) != len(self.legs):
-            raise ComplexStructureError("one attachment vertex required per leg")
-        for leg, v in zip(self.legs, self.attachments):
-            if len(leg.faces) > self.K:
-                raise ComplexStructureError(f"leg exceeds K={self.K} faces")
-            if v not in ext:
-                raise ComplexStructureError("attachment vertex is not external")
-            if v not in leg.vertices:
-                raise ComplexStructureError("leg does not contain its attachment vertex")
-        edge_use = Counter()
-        for leg in self.legs:
-            for e in leg.edges:
-                edge_use[e] += 1
-        if any(c > 2 for c in edge_use.values()):
-            raise ComplexStructureError("an edge belongs to more than two legs")
-
-
-@dataclass(frozen=True)
 class IsoParams:
     d: float
     eps: float
-    c_prime: float = 1.0
-    scale_a: float = 1.0
 
     def __post_init__(self):
-        if self.d <= 0 or self.eps <= 0 or self.c_prime <= 0:
-            raise ValueError("d, eps, c_prime must be positive")
+        if self.d <= 0 or self.eps <= 0:
+            raise ValueError("d, eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -559,144 +509,3 @@ def shared_edge_pairs(X: SquareComplex) -> tuple[list, list]:
         else:
             violating.append((f1, f2, shared))
     return strong, violating
-
-
-def add_horns(D: Diagram, X: SquareComplex,
-              pairs: list | None = None) -> DiagramWithHorns:
-    """Glue, for every boundary-touching face of D that is one member of a
-    strongly adjacent pair of X whose partner is missing from D, that partner
-    exactly as it sits in X.
-
-    Raises HornError when a partner would share >= 3 edges with D's complex
-    (corrupt ambient data) or when two horns would share an edge.
-    """
-    if pairs is None:
-        pairs, viol = shared_edge_pairs(X)
-        if viol:
-            raise HornError(f"ambient complex has {len(viol)} pairs sharing >=3 edges")
-    base_cx = D.complex
-    partner: dict[Hashable, Hashable] = {}
-    for f1, f2, _shared in pairs:
-        partner[f1] = f2
-        partner[f2] = f1
-    boundary_edges = {st.edge for st in D.boundary}
-    horns: list[tuple[Hashable, Hashable]] = []
-    new_faces: dict[Hashable, Face] = {}
-    for fid in sorted(base_cx.faces, key=_idkey):
-        if fid not in partner or partner[fid] in base_cx.faces or partner[fid] in new_faces:
-            continue
-        touches = any(st.edge in boundary_edges for st in base_cx.faces[fid].walk)
-        if not touches:
-            continue
-        pid = partner[fid]
-        pface = X.faces[pid]
-        shared_with_base = sum(1 for e in {st.edge for st in pface.walk} if e in base_cx.edges)
-        if shared_with_base >= 3:
-            raise HornError(f"horn {pid!r} would share {shared_with_base} edges with the base")
-        new_faces[pid] = pface
-        horns.append((pid, fid))
-    horn_edges: list[set] = [
-        {st.edge for st in X.faces[pid].walk} - set(base_cx.edges) for pid, _ in horns
-    ]
-    for i in range(len(horn_edges)):
-        for j in range(i + 1, len(horn_edges)):
-            if horn_edges[i] & horn_edges[j]:
-                raise HornError("two horns share an edge")
-    vertices = set(base_cx.vertices)
-    edges = dict(base_cx.edges)
-    faces = dict(base_cx.faces)
-    for pid, _ in horns:
-        pface = X.faces[pid]
-        for st in pface.walk:
-            if st.edge not in edges:
-                edges[st.edge] = X.edges[st.edge]
-            src, dst = X.edges[st.edge]
-            vertices.add(src)
-            vertices.add(dst)
-        faces[pid] = pface
-    merged = SquareComplex(vertices, edges, faces)
-    return DiagramWithHorns(base=D, complex=merged, horns=tuple(horns))
-
-
-# -- balanced cuts ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BalancedCut:
-    path: tuple[Step, ...]
-    from_position: int
-    to_position: int
-    arc_lengths: tuple[int, int]
-
-
-def find_balanced_cut(D: Diagram, c_prime: float) -> BalancedCut | None:
-    """Shortest interior path between two boundary positions whose two
-    boundary arcs both have at least |dD|/4 edges.
-
-    The path may not use boundary edges (so it genuinely splits the disc);
-    its length is bounded by 4 + 8*log(|D|)/C'. Deterministic: the minimal
-    (length, arc imbalance, i, j) is returned; None when |D| < 2 or nothing
-    qualifies.
-    """
-    if D.face_count < 2:
-        return None
-    L = D.boundary_length
-    bound = 4 + 8 * math.log(D.face_count) / c_prime
-    cx = D.complex
-    boundary_edges = {st.edge for st in D.boundary}
-    adj: dict[Hashable, list[Step]] = {v: [] for v in cx.vertices}
-    for e, (src, dst) in cx.edges.items():
-        if e in boundary_edges:
-            continue
-        adj[src].append(Step(e, 1))
-        adj[dst].append(Step(e, -1))
-    bverts = cx.walk_vertices(D.boundary)
-
-    def bfs(start):
-        dist = {start: 0}
-        back: dict[Hashable, Step] = {}
-        q = deque([start])
-        while q:
-            v = q.popleft()
-            for st in sorted(adj[v], key=lambda s: (_idkey(s.edge), s.dir)):
-                w = cx.step_head(st)
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    back[w] = st
-                    q.append(w)
-        return dist, back
-
-    cached: dict[Hashable, tuple] = {}
-    best = None
-    for i in range(L):
-        vi = bverts[i]
-        if vi not in cached:
-            cached[vi] = bfs(vi)
-        dist, _back = cached[vi]
-        for j in range(i + 1, L):
-            arc1 = j - i
-            arc2 = L - arc1
-            if arc1 < L / 4 or arc2 < L / 4:
-                continue
-            vj = bverts[j]
-            if vj not in dist or vi == vj:
-                continue
-            dl = dist[vj]
-            if dl == 0 or dl > bound:
-                continue
-            key = (dl, abs(arc1 - arc2), i, j)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        return None
-    dl, _imbalance, i, j = best
-    dist, back = cached[bverts[i]]
-    path: list[Step] = []
-    v = bverts[j]
-    while v != bverts[i]:
-        st = back[v]
-        path.append(st)
-        v = cx.step_tail(st)
-    path.reverse()
-    return BalancedCut(path=tuple(path), from_position=i, to_position=j,
-                       arc_lengths=(j - i, L - (j - i)))

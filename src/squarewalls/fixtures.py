@@ -251,8 +251,8 @@ def house_diagram() -> Diagram:
 
 
 def three_roof():
-    """3x1 grid with a 3-edge roof path over the top: the off-carrier
-    excursion has length 3, so it cannot match the 2-edge house shape.
+    """3x1 grid with a 3-edge roof path over the top, which no face
+    carries.
 
     Returns (complex, gamma): gamma = (0,1) -> w1 -> w2 -> (3,1), a geodesic
     (the top row also has length 3).
@@ -313,11 +313,10 @@ def special_pairs() -> SquareComplex:
 
 
 def horn_overlap():
-    """Two strongly adjacent pairs whose absent members share an edge.
-
-    Base faces A and C touch at the path e-a-...; their partners B and E both
-    carry the edge cd, so growing both horns at once is rejected. Returns
-    (ambient complex, base diagram).
+    """Two strongly adjacent pairs A/B and C/E whose members B and E share
+    the edge cd: a small complex with two overlapping pairs for the generic
+    measurement and serialization tests. Returns (ambient complex, the disc
+    diagram of A and C).
     """
     edges = {
         "ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d"), "da": ("d", "a"),

@@ -7,10 +7,9 @@ red (blue) pairing turns inside red (blue) distinguished faces, joining each
 shared edge with the adjacent non-shared edge that is not opposite to it.
 
 This module paints strongly adjacent pairs, traces hypergraphs of all three
-kinds, tests embeddededness (tree-ness), extracts collared diagrams from
+kinds, tests embeddedness (tree-ness), extracts collared diagrams from
 non-tree witnesses, computes complement side maps and the wall pseudometric,
-checks the distance lower bound and geodesic windows, and searches for house
-diagrams and two-collared configurations.
+and checks the distance lower bound and geodesic windows.
 """
 
 from __future__ import annotations
@@ -37,23 +36,6 @@ class ExtractionFailed(RuntimeError):
 
 
 # -- strongly adjacent pairs and painting ---------------------------------------
-
-
-def find_pair_neighbors(X: SquareComplex, pairs):
-    """Third faces gluing to at least two edges of a pair's union boundary."""
-    out = []
-    for f1, f2, shared in pairs:
-        rim = set()
-        for fid in (f1, f2):
-            rim.update(st.edge for st in X.faces[fid].walk)
-        rim -= set(shared)
-        for fid in sorted(X.faces, key=_idkey):
-            if fid in (f1, f2):
-                continue
-            touching = {st.edge for st in X.faces[fid].walk} & rim
-            if len(touching) >= 2:
-                out.append(((f1, f2), fid, tuple(sorted(touching, key=_idkey))))
-    return out
 
 
 @dataclass(frozen=True)
@@ -146,8 +128,7 @@ def _face_segments(painted: PaintedComplex, fid, kind):
     face = painted.base.faces[fid]
     walk_edges = [st.edge for st in face.walk]
     # The turn rule needs the pair's shared edges, so a face that only
-    # inherited its color from a label has no turn: it traces standard and is
-    # reported by classify_carrier as isolated.
+    # inherited its color from a label has no turn: it traces standard.
     if (kind != "standard" and painted.colors.get(fid) == kind
             and painted.partner(fid) is not None):
         shared = set(painted.shared_edges(fid))
@@ -431,24 +412,20 @@ class WallDecomposition:
 
 def wall_decomposition(painted: PaintedComplex,
                        kinds=KINDS) -> WallDecomposition:
-    """All walls of the requested kinds, deduplicated by (dual edge set,
-    complement partition): a wall identical under several tracing rules is
-    counted once."""
+    """All walls of the requested kinds, deduplicated by dual edge set: a
+    wall traced under several rules is counted once, as the first kind that
+    traces it. The complement depends on the dual edge set alone, so each
+    distinct wall gets one complement search."""
     walls, reports, seen = [], [], set()
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
         for H in trace_hypergraphs(painted, kind):
-            rep = complement_components(painted.base, H)
-            blocks: dict = {}
-            for v, c in rep.sides.items():
-                blocks.setdefault(c, set()).add(v)
-            sig = (H.vertices, frozenset(frozenset(b) for b in blocks.values()))
-            if sig in seen:
+            if H.vertices in seen:
                 continue
-            seen.add(sig)
+            seen.add(H.vertices)
             walls.append(H)
-            reports.append(rep)
+            reports.append(complement_components(painted.base, H))
     return WallDecomposition(tuple(walls), tuple(reports))
 
 
@@ -544,22 +521,11 @@ def check_wall_lower_bound(W: WallDecomposition, X: SquareComplex,
     return out
 
 
-# -- carrier classification, houses ----------------------------------------------------
+# -- geodesic windows ----------------------------------------------------------------------
 
 
-def classify_carrier(H: Hypergraph, painted: PaintedComplex) -> dict:
-    """Per carrier face: "regular tile", "divided tile member" (the wall
-    passes both members of its pair), or "isolated distinguished"."""
-    out = {}
-    for fid in sorted(H.carrier, key=_idkey):
-        partner = painted.partner(fid)
-        if painted.colors.get(fid, "regular") == "regular":
-            out[fid] = "regular tile"
-        elif partner is not None and partner in H.carrier:
-            out[fid] = "divided tile member"
-        else:
-            out[fid] = "isolated distinguished"
-    return out
+WINDOW = 15
+MIN_GEODESIC = 21
 
 
 def _edge_ids(gamma) -> list:
@@ -590,124 +556,6 @@ def _chain_vertices(X: SquareComplex, edge_path):
         else:
             raise ValueError("path edges do not chain")
     return verts
-
-
-@dataclass(frozen=True)
-class HouseExcursion:
-    edges: tuple  # consecutive off-carrier geodesic edges
-    start: object  # carrier vertex where the excursion leaves
-    end: object  # carrier vertex where it returns
-    conforming: bool  # matches the 3-face house shape with a length-2 roof
-    roof: object  # the roof face when conforming
-
-
-def find_house_diagrams(X: SquareComplex, gamma, H: Hypergraph) -> list[HouseExcursion]:
-    """Match every maximal excursion of the geodesic off the wall's carrier
-    against the house shape: a two-edge roof walk carried by one face that
-    shares an edge with a carrier face at each end."""
-    gamma = _edge_ids(gamma)
-    carrier_edges = set()
-    carrier_vertices = set()
-    for fid in H.carrier:
-        for st in X.faces[fid].walk:
-            carrier_edges.add(st.edge)
-            u, v = X.edges[st.edge]
-            carrier_vertices.update((u, v))
-    verts = _chain_vertices(X, gamma)
-    out = []
-    i = 0
-    while i < len(gamma):
-        if gamma[i] in carrier_edges:
-            i += 1
-            continue
-        j = i
-        while j < len(gamma) and gamma[j] not in carrier_edges:
-            j += 1
-        start_v, end_v = verts[i], verts[j]
-        if start_v in carrier_vertices and end_v in carrier_vertices:
-            run = tuple(gamma[i:j])
-            out.append(HouseExcursion(
-                run, start_v, end_v,
-                *_match_house(X, H, run, start_v, end_v)))
-        i = j
-    return out
-
-
-def _match_house(X, H, run, start_v, end_v):
-    if len(run) != 2:
-        return False, None
-    bases_start = [f for f in H.carrier
-                   if start_v in _face_vertices(X, f)]
-    bases_end = [f for f in H.carrier
-                 if end_v in _face_vertices(X, f)]
-    for fid in sorted(X.faces, key=_idkey):
-        if fid in H.carrier:
-            continue
-        walk_edges = {st.edge for st in X.faces[fid].walk}
-        if not set(run) <= walk_edges:
-            continue
-        share = lambda g: walk_edges & {st.edge for st in X.faces[g].walk}
-        if any(share(g) for g in bases_start) and any(share(g) for g in bases_end):
-            return True, fid
-    return False, None
-
-
-def _face_vertices(X, fid):
-    vs = set()
-    for st in X.faces[fid].walk:
-        u, v = X.edges[st.edge]
-        vs.update((u, v))
-    return vs
-
-
-# -- two-collared configurations ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TwoCollaredWitness:
-    faces: tuple  # the two cells both walls pass through
-    complex: SquareComplex
-    lambda1: tuple  # segments of the first wall in those cells
-    lambda2: tuple
-    strongly_adjacent: bool  # the cells share exactly two edges
-
-
-def find_two_collared(X: SquareComplex, H1: Hypergraph,
-                      H2: Hypergraph) -> list[TwoCollaredWitness]:
-    """Face pairs through which both walls pass with disjoint segments —
-    the two cells a diagram collared by both walls must have as corners.
-    Witnesses not shaped like a strongly adjacent pair are flagged."""
-    if H1.vertices == H2.vertices and H1.edges == H2.edges:
-        raise ValueError("the two walls must be distinct")
-    common = sorted(H1.carrier & H2.carrier, key=_idkey)
-    clean = []
-    for f in common:
-        s1 = {s for s in H1.edges if s[2] == f}
-        s2 = {s for s in H2.edges if s[2] == f}
-        if s1 & s2:
-            continue  # the walls overlap in this cell instead of crossing it
-        clean.append(f)
-    out = []
-    for i in range(len(clean)):
-        for j in range(i + 1, len(clean)):
-            f, g = clean[i], clean[j]
-            shared = {st.edge for st in X.faces[f].walk} & \
-                     {st.edge for st in X.faces[g].walk}
-            out.append(TwoCollaredWitness(
-                faces=(f, g),
-                complex=_subcomplex(X, [f, g]),
-                lambda1=tuple(s for s in H1.edges if s[2] in (f, g)),
-                lambda2=tuple(s for s in H2.edges if s[2] in (f, g)),
-                strongly_adjacent=len(shared) == 2,
-            ))
-    return out
-
-
-# -- geodesic windows ----------------------------------------------------------------------
-
-
-WINDOW = 15
-MIN_GEODESIC = 21
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,59 @@
+"""Byte-identity of CLI artifacts: the sha256 of each artifact is pinned.
+
+A change that alters one of these artifacts on purpose updates its digest
+here and says why in CHANGES.md; any other change must leave them all equal.
+Each command runs in a fresh working directory with relative file names, so
+the config envelope does not depend on where the test runs.
+"""
+
+import hashlib
+
+import pytest
+
+from squarewalls.cli import run
+
+Z2 = ("--fixture", "z2", "--radius", "7")
+
+# name -> list of (argv, output file) run in order in one directory; the
+# digest is taken of the last output
+PIPELINES = {
+    "z2_r7_walls_json": [(("walls", *Z2), "walls.json")],
+    "z2_r7_walls_dot": [(("walls", *Z2, "--format", "dot"), "walls.dot")],
+    "z2_r7_wall_metric_csv": [
+        (("wall-metric", *Z2, "--format", "csv"), "metric.csv")],
+}
+for rank, density, seed, radius in ((4, "0.1", 0, 3), (5, "0.15", 1, 2)):
+    sample = ("--rank", str(rank), "--density", density, "--seed", str(seed))
+    PIPELINES[f"sampled_{rank}_{density}_{seed}_r{radius}_walls"] = [
+        (("sample", *sample), "pres.json"),
+        (("ball", "--in", "pres.json", "--radius", str(radius)), "ball.json"),
+        (("walls", "--in", "ball.json", "--kinds", "standard,red,blue"),
+         "walls.json"),
+    ]
+PIPELINES["ball_5_0.15_144666_r2"] = [
+    (("ball", "--rank", "5", "--density", "0.15", "--seed", "144666",
+      "--radius", "2"), "ball.json")]
+
+DIGESTS = {
+    "ball_5_0.15_144666_r2":
+        "46b4e888d594e4e5ff10b79261d7d26698e4dca647da350a26679326e48beff0",
+    "sampled_4_0.1_0_r3_walls":
+        "97c898eac081febaa05bbd0da10aac50bf95f3e4fea8cfa26464b4e085fbd8ff",
+    "sampled_5_0.15_1_r2_walls":
+        "425940735e29433145128abc3f529802259b4d4958d1be0761eaf77f1f65a205",
+    "z2_r7_wall_metric_csv":
+        "c908006ba16f3b0439d0c88000a8ce2f12acf3aae8b50b26995ca31bc4834acb",
+    "z2_r7_walls_dot":
+        "4bfcb07b560f8bf78f713348f553f12eb9702151dbad74926b6b39f618e5abdf",
+    "z2_r7_walls_json":
+        "fbe85371445ed0b484c32751a13b28bf619645e9a33199bd929f95007c89d640",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINES))
+def test_artifact_digest(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv, out in PIPELINES[name]:
+        run([*argv, "--out", out])
+    digest = hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
+    assert digest == DIGESTS[name]

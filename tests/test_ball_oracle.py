@@ -7,6 +7,9 @@ every relator variant and repeats until a pass changes nothing, with a full
 breadth-first search after every pass. Both closures hand their table to the
 same extraction step, so equal to_json() bytes mean equal tables inside the
 radius, per-vertex completeness flags included.
+
+The extraction step's completeness flags are in turn checked against the
+per-vertex face count it replaced, which traced the inverse relator too.
 """
 
 from collections import deque
@@ -18,6 +21,7 @@ from squarewalls.cayley import WordProblemBudget, build_ball
 from squarewalls.presentation import (
     Presentation,
     alphabet,
+    inverse_word,
     letter_key,
     sample_presentation,
 )
@@ -140,6 +144,33 @@ def rescan_ball(P, r, budget=None):
                                    {"relator_scans": scans})
 
 
+def _incident_face_count(P, v, neighbor, find):
+    """Faces of the ambient Cayley complex incident to v, read off the
+    stabilized table: closed relator traces from v up to rotation and
+    reversal.  No cyclically reduced length-4 word is a rotation of its own
+    inverse, so the dihedral canonicalization matches the rotational face
+    signature used by build_ball face for face."""
+    seen = set()
+    for ri, relator in enumerate(P.relators):
+        for word in (relator, inverse_word(relator)):
+            for k in range(4):
+                rot = word[k:] + word[:k]
+                path = [find(v)]
+                for l in rot:
+                    nxt = neighbor(path[-1], l)
+                    if nxt is None:
+                        break
+                    path.append(nxt)
+                if len(path) != 5 or path[-1] != path[0]:
+                    continue
+                cycle = tuple(path[:4])
+                rev = tuple(reversed(cycle))
+                canon = min(min(cycle[t:] + cycle[:t] for t in range(4)),
+                            min(rev[t:] + rev[:t] for t in range(4)))
+                seen.add((ri, canon))
+    return len(seen)
+
+
 SAMPLED = sorted({
     # the sampled presentations of tests/test_cayley.py
     (5, 0.2, 0, 1), (5, 0.2, 0, 2), (2, 0.25, 3, 2),
@@ -179,3 +210,33 @@ def test_deduction_stack_scans_less_than_rescan():
     # a full pass scans every table vertex against every variant
     assert oracle.work["relator_scans"] >= 8 * len(cayley._relator_variants(P))
     assert 0 < ball.work["relator_scans"] < oracle.work["relator_scans"]
+
+
+CORPUS = [(TORUS, radius) for radius in range(12)] + [
+    (sample_presentation(n, d, seed), radius) for n, d, seed, radius in SAMPLED]
+
+
+@pytest.mark.parametrize("P,radius", CORPUS,
+                         ids=[f"{P.rank}-{P.density}-{P.seed}-r{r}" for P, r in CORPUS])
+def test_complete_flags_match_incident_face_count(P, radius, monkeypatch):
+    tables = []
+    extract = cayley._ball_from_table
+
+    def capture(P, r, dist, find, neighbor, work):
+        tables.append((find, neighbor))
+        return extract(P, r, dist, find, neighbor, work)
+
+    monkeypatch.setattr(cayley, "_ball_from_table", capture)
+    ball = build_ball(P, radius)
+    (find, neighbor), = tables
+    corners = {}
+    for fid, f in ball.base.faces.items():
+        for st in f.walk:
+            for u in ball.base.edges[st.edge]:
+                corners.setdefault(u, set()).add(fid)
+    for w, flag in ball.complete.items():
+        x = find(0)
+        for l in w:
+            x = neighbor(x, l)
+        present = len(corners.get(w, ()))
+        assert flag == (present == _incident_face_count(P, x, neighbor, find)), w

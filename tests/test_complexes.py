@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -7,18 +6,14 @@ from squarewalls import fixtures
 from squarewalls.complexes import (
     ComplexStructureError,
     Diagram,
-    DiagramWithLegs,
     Face,
-    HornError,
     IsoParams,
     SquareComplex,
     Step,
-    add_horns,
     build_quotient,
     cancellation,
     check_generalized_iso,
     check_isoperimetric,
-    find_balanced_cut,
     generalized_boundary_length,
     shared_edge_pairs,
 )
@@ -235,115 +230,6 @@ def test_shared_edge_pairs():
     assert violating == []
 
 
-def test_add_horns_single():
-    ambient = fixtures.strongly_adjacent_pair()
-    a = ambient.faces["A"]
-    base = SquareComplex(
-        "abdm",
-        {e: ambient.edges[e] for e in ["ab", "bm", "md", "da"]},
-        {"A": a},
-    )
-    D = Diagram(base, a.walk)
-    out = add_horns(D, ambient)
-    assert out.horns == (("B", "A"),)
-    assert len(out.complex.faces) == 2
-    assert generalized_boundary_length(out.complex) == 4
-    assert generalized_boundary_length(base) == 4  # growth 0 <= 2 per horn
-
-
-def test_add_horns_noop():
-    ambient = fixtures.strongly_adjacent_pair()
-    D = fixtures.strongly_adjacent_diagram()
-    out = add_horns(D, ambient)
-    assert out.horns == ()
-    assert out.complex.faces.keys() == D.complex.faces.keys()
-
-    g = fixtures.grid(2, 2)
-    out = add_horns(g, g.complex)
-    assert out.horns == ()
-
-
-def test_add_horns_staircase():
-    ambient, _gamma, _x, _y = fixtures.staircase(3)
-    a0 = ambient.faces[("A", 0)]
-    verts = {ambient.step_tail(st) for st in a0.walk}
-    base = SquareComplex(
-        verts,
-        {st.edge: ambient.edges[st.edge] for st in a0.walk},
-        {("A", 0): a0},
-    )
-    out = add_horns(Diagram(base, a0.walk), ambient)
-    assert out.horns == ((("B", 0), ("A", 0)),)
-    assert generalized_boundary_length(out.complex) == 4
-
-
-def test_add_horns_rejects_three_shared_ambient():
-    cx = fixtures.three_sharing_pair()
-    f = cx.faces["F"]
-    base = SquareComplex(
-        ["v0", "v1", "v2", "v3"],
-        {e: cx.edges[e] for e in ["e1", "e2", "e3", "f4"]},
-        {"F": f},
-    )
-    with pytest.raises(HornError):
-        add_horns(Diagram(base, f.walk), cx)
-
-
-def test_add_horns_rejects_partner_with_three_base_edges():
-    ambient, _D = fixtures.horn_overlap()
-    a, e = ambient.faces["A"], ambient.faces["E"]
-    base = SquareComplex(
-        ["a", "b", "c", "d", "e", "m", "m2"],
-        {x: ambient.edges[x] for x in
-         ["ab", "bm", "md", "da", "ec", "cd", "m2d", "em2"]},
-        {"A": a, "E": e},
-    )
-    boundary = (Step("ab", 1), Step("bm", 1), Step("md", 1), Step("m2d", -1),
-                Step("em2", -1), Step("ec", 1), Step("cd", 1), Step("da", 1))
-    with pytest.raises(HornError):
-        add_horns(Diagram(base, boundary), ambient)
-
-
-def test_add_horns_rejects_overlapping_horns():
-    ambient, D = fixtures.horn_overlap()
-    with pytest.raises(HornError):
-        add_horns(D, ambient)
-
-
-# -- balanced cuts ------------------------------------------------------------
-
-
-def test_balanced_cut_strip():
-    cut = find_balanced_cut(fixtures.grid(2, 1), c_prime=0.4)
-    assert cut is not None
-    assert len(cut.path) == 1
-    assert cut.path[0].edge == ("v", 1, 0)
-    assert cut.arc_lengths == (3, 3)
-    assert len(cut.path) <= 4 + 8 * math.log(2) / 0.4
-
-
-def test_balanced_cut_single_square():
-    assert find_balanced_cut(fixtures.single_square(), c_prime=0.4) is None
-
-
-def test_balanced_cut_2x2():
-    cut = find_balanced_cut(fixtures.grid(2, 2), c_prime=0.4)
-    assert cut is not None
-    assert len(cut.path) == 2
-    assert cut.arc_lengths == (4, 4)
-    verts = {(1, 0), (1, 1), (1, 2)}
-    cx = fixtures.grid(2, 2).complex
-    seen = {cx.step_tail(cut.path[0])} | {cx.step_head(st) for st in cut.path}
-    assert seen == verts
-
-
-def test_balanced_cut_sa_pair():
-    cut = find_balanced_cut(fixtures.strongly_adjacent_diagram(), c_prime=1.0)
-    assert cut is not None
-    assert [st.edge for st in cut.path] == ["bm", "md"]
-    assert cut.arc_lengths == (2, 2)
-
-
 # -- structure validation -----------------------------------------------------
 
 
@@ -381,25 +267,6 @@ def test_face_slot_maps():
     assert [f.slot_of_position(k) for k in range(4)] == [2, 1, 0, 3]
     for k in range(4):
         assert f.position_of_slot(f.slot_of_position(k)) == k
-
-
-def test_legs_validation():
-    basis = fixtures.single_square()
-    leg_edges = {"ax": ("a", "x"), "xy": ("x", "y"), "yz": ("y", "z"), "za": ("z", "a")}
-    leg = SquareComplex(
-        "axyz", leg_edges,
-        {"L": Face((Step("ax", 1), Step("xy", 1), Step("yz", 1), Step("za", 1)))},
-    )
-    ok = DiagramWithLegs(basis, (leg,), K=1, attachments=("a",))
-    assert ok.K == 1
-    with pytest.raises(ComplexStructureError):  # leg too big
-        DiagramWithLegs(basis, (leg,), K=0, attachments=("a",))
-    with pytest.raises(ComplexStructureError):  # attachment not a basis boundary vertex
-        DiagramWithLegs(basis, (leg,), K=1, attachments=("x",))
-    with pytest.raises(ComplexStructureError):  # attachment count mismatch
-        DiagramWithLegs(basis, (leg,), K=1, attachments=())
-    with pytest.raises(ComplexStructureError):  # an edge in three legs
-        DiagramWithLegs(basis, (leg, leg, leg), K=1, attachments=("a", "a", "a"))
 
 
 def test_sa_pair_internal_vertex():

@@ -1,5 +1,5 @@
 """Wall machinery: painting, tracing, tree checks, collared diagrams,
-complements, the wall pseudometric, houses, two-collared pairs, windows."""
+complements, the wall pseudometric, windows."""
 
 import itertools
 
@@ -19,10 +19,8 @@ from squarewalls.fixtures import (
     grid,
     house,
     single_square,
-    special_pairs,
     staircase,
     strongly_adjacent_pair,
-    three_roof,
     z2_ball,
 )
 from squarewalls.walls import (
@@ -33,12 +31,8 @@ from squarewalls.walls import (
     bfs_geodesic,
     check_wall_lower_bound,
     check_window_crossing,
-    classify_carrier,
     complement_components,
     extract_collared_diagram,
-    find_house_diagrams,
-    find_pair_neighbors,
-    find_two_collared,
     is_embedded_tree,
     paint,
     trace_hypergraphs,
@@ -147,13 +141,6 @@ def test_paint_overlapping_adjacencies_pick_canonical_matching():
     # handing the overlapping candidates over explicitly is still an error
     with pytest.raises(PaintingConflict):
         paint(cx, pairs=pairs)
-
-
-def test_pair_neighbors_reports_third_face():
-    cx = special_pairs()
-    pairs, _ = shared_edge_pairs(cx)
-    assert pairs == [("A", "B", ("bm", "md"))]
-    assert find_pair_neighbors(cx, pairs) == [(("A", "B"), "C", ("ab", "bc"))]
 
 
 # -- tracing ------------------------------------------------------------------
@@ -343,6 +330,24 @@ def test_z2_wall_lines():
         assert is_embedded_tree(H).tree
 
 
+def test_one_complement_search_per_distinct_wall(monkeypatch):
+    calls = []
+
+    def counted(X, H):
+        calls.append(H.vertices)
+        return complement_components(X, H)
+
+    monkeypatch.setattr("squarewalls.walls.complement_components", counted)
+    painted = paint(z2_ball(7))
+    W = wall_decomposition(painted)
+    traced = [H for kind in ("standard", "red", "blue")
+              for H in trace_hypergraphs(painted, kind)]
+    assert len(traced) == 72
+    # the three tracings agree on Z^2, so each wall is searched once
+    assert len(W.walls) == len(calls) == 24
+    assert calls == [H.vertices for H in W.walls]
+
+
 def test_z2_wall_distance_example():
     cx = z2_ball(5)
     W = wall_decomposition(paint(cx))
@@ -415,105 +420,6 @@ def test_lower_bound_indeterminate_on_annulus():
     (report,) = check_wall_lower_bound(W, cx, [(("i", 0), ("i", 16))])
     assert report.d_edge == 16 and report.bound == 1 and report.d_wall == 0
     assert report.status == "indeterminate"
-
-
-# -- carrier classification and houses -------------------------------------------
-
-
-def test_classify_carrier_kinds():
-    cx, _expected = comparison()
-    painted = paint(cx)
-    H = wall_through(trace_hypergraphs(painted, "standard"), "da")
-    assert classify_carrier(H, painted) == {
-        "A": "divided tile member", "B": "divided tile member",
-        "L": "regular tile", "T": "regular tile",
-    }
-
-
-def test_classify_isolated_distinguished():
-    cx, _expected = comparison()
-    faces = dict(cx.faces)
-    faces["L"] = Face(faces["L"].walk, label=1)  # inherits A's color
-    relabeled = SquareComplex(cx.vertices, cx.edges, faces)
-    painted = paint(relabeled)
-    assert painted.colors["L"] == "red"
-    # a lone red face has no pair shape, so red tracing treats it as a tile
-    H = wall_through(trace_hypergraphs(painted, "red"), "l2l1")
-    assert classify_carrier(H, painted)["L"] == "isolated distinguished"
-
-
-def test_house_excursion_matches():
-    cx, gamma, wall_edges = house()
-    painted = paint(cx)
-    H = wall_through(trace_hypergraphs(painted, "standard"), "af")
-    assert H.vertices == wall_edges
-    assert H.carrier == {"S1", "S2"}
-    (exc,) = find_house_diagrams(cx, gamma, H)
-    assert exc.edges == ("aw", "wc")
-    assert (exc.start, exc.end) == ("a", "c")
-    assert exc.conforming and exc.roof == "roof"
-
-
-def test_house_no_excursion_along_carrier():
-    cx, _gamma, wall_edges = house()
-    painted = paint(cx)
-    H = wall_through(trace_hypergraphs(painted, "standard"), "af")
-    assert find_house_diagrams(cx, ["fe", "ed"], H) == []
-
-
-def test_three_roof_excursion_nonconforming():
-    cx, gamma = three_roof()
-    painted = paint(cx)
-    walls = trace_hypergraphs(painted, "standard")
-    (H,) = [w for w in walls if len(w.carrier) == 3]
-    (exc,) = find_house_diagrams(cx, gamma, H)
-    assert len(exc.edges) == 3
-    assert not exc.conforming and exc.roof is None
-
-
-# -- two-collared configurations ---------------------------------------------------
-
-
-def test_two_collared_on_comparison():
-    cx, _expected = comparison()
-    painted = paint(cx)
-    red = wall_through(trace_hypergraphs(painted, "red"), "da")
-    blue = wall_through(trace_hypergraphs(painted, "blue"), "da")
-    witnesses = find_two_collared(cx, red, blue)
-    assert [w.faces for w in witnesses] == [("A", "B")]
-    (w,) = witnesses
-    assert w.strongly_adjacent
-    assert set(w.lambda1) == {("da", "md", "A"), ("bc", "md", "B")}
-    assert set(w.lambda2) == {("bm", "da", "A"), ("bc", "bm", "B")}
-    assert set(w.complex.faces) == {"A", "B"}
-
-
-def test_two_collared_requires_distinct_walls():
-    cx, _expected = comparison()
-    painted = paint(cx)
-    red = wall_through(trace_hypergraphs(painted, "red"), "da")
-    with pytest.raises(ValueError):
-        find_two_collared(cx, red, red)
-
-
-def test_two_collared_empty_for_crossing_lines():
-    cx = z2_ball(3)
-    painted = paint(cx)
-    walls = trace_hypergraphs(painted, "standard")
-    vertical = wall_through(walls, ("h", 0, 0))
-    horizontal = wall_through(walls, ("v", 0, 0))
-    assert vertical is not horizontal
-    assert find_two_collared(cx, vertical, horizontal) == []
-
-
-def test_two_collared_on_staircase():
-    cx, _gamma, _x, _y = staircase(1)
-    painted = paint(cx)
-    red = wall_through(trace_hypergraphs(painted, "red"), ("ab", 0))
-    blue = wall_through(trace_hypergraphs(painted, "blue"), ("bc", 0))
-    witnesses = find_two_collared(cx, red, blue)
-    assert [w.faces for w in witnesses] == [(("A", 0), ("B", 0))]
-    assert witnesses[0].strongly_adjacent
 
 
 # -- geodesic windows ---------------------------------------------------------------
