@@ -119,6 +119,7 @@ def _cmd_enumerate(args, parser) -> int:
     doc["classes"] = total
     doc["classes_by_faces_labels"] = counts
     doc["complete"] = not cursor.truncated
+    doc["work"] = cursor.work
     _emit_json(args, doc)
     return TRUNCATED if cursor.truncated else 0
 

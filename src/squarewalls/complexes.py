@@ -105,8 +105,10 @@ class SquareComplex:
             for st in f.walk:
                 if st.edge not in self.edges:
                     raise ComplexStructureError(f"face {fid!r} uses unknown edge {st.edge!r}")
+            # (tail, head) of each step; step i must end where step i+1 starts
+            ends = [self.edges[st.edge][::st.dir] for st in f.walk]
             for i in range(4):
-                if self.step_head(f.walk[i]) != self.step_tail(f.walk[(i + 1) % 4]):
+                if ends[i][1] != ends[i - 3][0]:
                     raise ComplexStructureError(f"face {fid!r} walk does not chain at slot {i}")
         if self.vertices and not self._skeleton_connected():
             raise ComplexStructureError("1-skeleton is not connected")
@@ -280,45 +282,37 @@ def cancellation(Y: SquareComplex, face_ids: Iterable | None = None) -> int:
     return sum(d - 1 for d in deg.values())
 
 
-class _SignedUnion:
-    """Union-find tracking a +-1 sign between each element and its root."""
+def slot_table(n_faces: int, idents, base=None):
+    """Edge classes of a gluing of n_faces squares, as flat lists over the
+    4*n_faces slots (slot 4f + j is slot j of face f): root[x] is the slot
+    that names the edge of slot x, and sign[x] is +1 when slot x traverses
+    that edge the way the root slot does, -1 when reversed.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.sign = [1] * n
-
-    def find(self, x: int) -> tuple[int, int]:
-        if self.parent[x] == x:
-            return x, 1
-        root, s = self.find(self.parent[x])
-        self.parent[x] = root
-        self.sign[x] *= s
-        return root, self.sign[x]
-
-    def union(self, x: int, y: int, s: int) -> bool:
-        rx, sx = self.find(x)
-        ry, sy = self.find(y)
+    idents are ((f, j), (g, k), sign) as for build_quotient. A union keeps
+    the root of the first-named slot and relabels every slot of the second
+    slot's class directly, so no lookup ever follows a parent chain. base, a
+    table of the same n_faces, is extended on a copy and never changed.
+    Returns None when an identification folds an edge onto itself reversed.
+    """
+    if base is None:
+        root, sign = list(range(4 * n_faces)), [1] * (4 * n_faces)
+    else:
+        root, sign = base[0][:], base[1][:]
+    for (f, j), (g, k), s in idents:
+        if s not in (1, -1):
+            raise ValueError("identification sign must be +1 or -1")
+        x, y = 4 * f + j, 4 * g + k
+        rx, ry = root[x], root[y]
         if rx == ry:
-            return sx * sy == s
-        self.parent[ry] = rx
-        self.sign[ry] = sx * s * sy
-        return True
-
-
-class _Union:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
+            if sign[x] * sign[y] != s:
+                return None
+            continue
+        flip = sign[x] * s * sign[y]
+        for z, r in enumerate(root):
+            if r == ry:
+                root[z] = rx
+                sign[z] *= flip
+    return root, sign
 
 
 def build_quotient(n_faces: int, identifications, labels=None, starts=None,
@@ -330,43 +324,42 @@ def build_quotient(n_faces: int, identifications, labels=None, starts=None,
     reversed (sign -1). Unmatched slots stay degree-1 edges. Returns None
     when an identification folds an edge onto itself reversed or the glued
     1-skeleton is disconnected.
+
+    Edges are read off slot_table: e0, e1, ... in the order of their root
+    slots. Corner c = 4f + j is the tail of slot j of face f; corners are
+    united in identification order, each union keeping the first-named
+    corner's root, and vertices are u0, u1, ... in the order of their roots.
     """
-    slots = _SignedUnion(4 * n_faces)
-    corners = _Union(4 * n_faces)
+    idents = list(identifications)
+    table = slot_table(n_faces, idents)
+    if table is None:
+        return None
+    root, sign = table
+    corner = list(range(4 * n_faces))
 
-    def tail(f, j):
-        return 4 * f + j
+    def head(x):
+        return x + 1 if x % 4 < 3 else x - 3
 
-    def head(f, j):
-        return 4 * f + (j + 1) % 4
+    for (f, j), (g, k), sgn in idents:
+        x, y = 4 * f + j, 4 * g + k
+        hx, hy = head(x), head(y)
+        for a, b in ((x, y), (hx, hy)) if sgn == 1 else ((x, hy), (hx, y)):
+            ra, rb = corner[a], corner[b]
+            if ra != rb:
+                for z, r in enumerate(corner):
+                    if r == rb:
+                        corner[z] = ra
 
-    for (f, j), (g, k), sgn in identifications:
-        if sgn not in (1, -1):
-            raise ValueError("identification sign must be +1 or -1")
-        if not slots.union(4 * f + j, 4 * g + k, sgn):
-            return None
-        if sgn == 1:
-            corners.union(tail(f, j), tail(g, k))
-            corners.union(head(f, j), head(g, k))
-        else:
-            corners.union(tail(f, j), head(g, k))
-            corners.union(head(f, j), tail(g, k))
-
-    edge_roots = sorted({slots.find(s)[0] for s in range(4 * n_faces)})
+    edge_roots = sorted(set(root))
     edge_id = {r: f"e{i}" for i, r in enumerate(edge_roots)}
-    vert_roots = sorted({corners.find(c) for c in range(4 * n_faces)})
-    vert_id = {r: f"u{i}" for i, r in enumerate(vert_roots)}
-    edges = {}
-    for r in edge_roots:
-        f, j = divmod(r, 4)
-        edges[edge_id[r]] = (vert_id[corners.find(tail(f, j))],
-                             vert_id[corners.find(head(f, j))])
+    vert_id = {r: f"u{i}" for i, r in enumerate(sorted(set(corner)))}
+    edges = {edge_id[r]: (vert_id[corner[r]], vert_id[corner[head(r)]])
+             for r in edge_roots}
     faces = {}
     for f in range(n_faces):
         walk = []
-        for j in range(4):
-            r, s = slots.find(4 * f + j)
-            walk.append(Step(edge_id[r], s))
+        for x in range(4 * f, 4 * f + 4):
+            walk.append(Step(edge_id[root[x]], sign[x]))
         faces[f] = Face(
             tuple(walk),
             label=None if labels is None else labels[f],

@@ -17,6 +17,15 @@ identifications, keeping the highest-cancellation candidates at each level;
 this reaches every configuration the scans target (chains, corner contacts,
 doubled pairs plus a neighbor) but is not exhaustive, and the per-level caps
 make the trade-off explicit.
+
+Each gluing is read through one slot table (complexes.slot_table), a flat
+(root, sign) list per slot. The key's slot codes are flat ints
+2*class + (sign relative to the class's first occurrence == +1), which order
+exactly as the (class, sign) pairs they stand for. Only permutations whose
+first face has the least four-code head can reach the minimum, so only those
+are coded in full; the codes do not depend on the labels, so all label
+choices of one gluing share them. Growth builds the parent's table once and
+extends it by the one or two new identifications of each candidate.
 """
 
 from __future__ import annotations
@@ -29,15 +38,16 @@ from itertools import combinations, permutations
 from .complexes import (
     IsoParams,
     SquareComplex,
-    _SignedUnion,
     build_quotient,
     cancellation,
     check_generalized_iso,
+    slot_table,
 )
 from .fulfill import AbstractComplex, FulfillAssignment, check_assignment, fulfill_search
 from .presentation import Word, letter_token
 
 MAX_FACES = 5
+WORK_COUNTERS = ("keys", "folded", "repeats", "disconnected", "classes")
 
 
 def _set_partitions(items):
@@ -61,35 +71,66 @@ def _spec_idents(blocks_with_signs):
     return idents
 
 
+# per face count: each face permutation and its slots in reading order
+_ORDERS = {n: [(perm, [4 * f + j for f in perm for j in range(4)])
+               for perm in permutations(range(n))]
+           for n in range(1, MAX_FACES + 1)}
+
+
+def _codes(root, sign, order) -> list:
+    """Slot codes read in the given slot order: 2*cid + (relative sign == +1),
+    with edge classes numbered by first occurrence and signs taken relative
+    to that occurrence."""
+    first: dict = {}
+    codes = []
+    for x in order:
+        r = root[x]
+        base = first.get(r)
+        if base is None:
+            base = first[r] = (2 * len(first) + 1) ^ (sign[x] < 0)
+        codes.append(base ^ (sign[x] < 0))
+    return codes
+
+
+def _least_codes(n_faces: int, table) -> tuple:
+    """(least code tuple over face permutations, the permutations reaching
+    it). The first four codes depend only on the first face, so only
+    permutations starting with a face of least head are coded in full."""
+    root, sign = table
+    heads = [_codes(root, sign, range(4 * f, 4 * f + 4)) for f in range(n_faces)]
+    least = min(heads)
+    best, tied = None, []
+    for perm, order in _ORDERS[n_faces]:
+        if heads[perm[0]] != least:
+            continue
+        codes = _codes(root, sign, order)
+        if best is None or codes < best:
+            best, tied = codes, [perm]
+        elif codes == best:
+            tied.append(perm)
+    return tuple(best), tied
+
+
+def _least_labels(tied, labels) -> tuple:
+    """Least first-use renaming of the labels over the tied permutations."""
+    best = None
+    for perm in tied:
+        names: dict = {}
+        labs = tuple(names.setdefault(labels[f], len(names) + 1) for f in perm)
+        if best is None or labs < best:
+            best = labs
+    return best
+
+
 def canonical_key(n_faces: int, idents, labels) -> tuple:
     """Isomorphism-class key: minimum over face permutations of the slot
     partition encoding, with per-class signs relative to the first occurrence
     and labels renamed in first-use order. Returns None on a folded gluing."""
-    uf = _SignedUnion(4 * n_faces)
-    for (f, j), (g, k), sign in idents:
-        if not uf.union(4 * f + j, 4 * g + k, sign):
-            return None
-    best = None
-    for perm in permutations(range(n_faces)):
-        class_ids: dict = {}
-        codes = []
-        for new_f in range(n_faces):
-            old_f = perm[new_f]
-            for j in range(4):
-                root, sign = uf.find(4 * old_f + j)
-                if root not in class_ids:
-                    class_ids[root] = (len(class_ids), sign)
-                cid, base_sign = class_ids[root]
-                codes.append((cid, sign * base_sign))
-        lab_map: dict = {}
-        labs = []
-        for new_f in range(n_faces):
-            lab = labels[perm[new_f]]
-            labs.append(lab_map.setdefault(lab, len(lab_map) + 1))
-        key = (n_faces, tuple(codes), tuple(labs))
-        if best is None or key < best:
-            best = key
-    return best
+    table = slot_table(n_faces, idents)
+    if table is None:
+        return None
+    codes, tied = _least_codes(n_faces, table)
+    return (n_faces, codes, _least_labels(tied, labels))
 
 
 def _label_strings(n: int):
@@ -100,9 +141,12 @@ def _label_strings(n: int):
     return out
 
 
-def _complete_specs(n_faces: int):
+def _complete_specs(n_faces: int, work=None):
     """All connected fold-free signed slot partitions on n_faces squares,
-    deduplicated; yields (key, idents, labels)."""
+    deduplicated; yields (key, idents, labels). Counts into work when given."""
+    if work is None:
+        work = dict.fromkeys(WORK_COUNTERS, 0)
+    label_strings = _label_strings(n_faces)
     seen = set()
     for part in _set_partitions(list(range(4 * n_faces))):
         if n_faces > 1 and not any(
@@ -115,9 +159,16 @@ def _complete_specs(n_faces: int):
                             for signs in _sign_tuples(len(b) - 1)]
         for choice in sign_choices:
             idents = _spec_idents(list(zip(blocks, choice)))
-            for labels in _label_strings(n_faces):
-                key = canonical_key(n_faces, idents, labels)
-                if key is None or key in seen:
+            table = slot_table(n_faces, idents)
+            if table is None:
+                work["folded"] += len(label_strings)
+                continue
+            codes, tied = _least_codes(n_faces, table)
+            for labels in label_strings:
+                key = (n_faces, codes, _least_labels(tied, labels))
+                work["keys"] += 1
+                if key in seen:
+                    work["repeats"] += 1
                     continue
                 seen.add(key)
                 yield key, idents, labels
@@ -132,7 +183,12 @@ def _sign_tuples(k: int):
 
 class EnumerationCursor:
     """Single-owner iterator over isomorphism classes of connected labeled
-    complexes with at most max_faces faces, each class exactly once."""
+    complexes with at most max_faces faces, each class exactly once.
+
+    Every pass starts afresh. work holds the last pass's deterministic
+    counters: keys computed, folded candidates (one per gluing and label),
+    repeats (keys already seen), disconnected quotients and classes kept
+    (the classes yielded)."""
 
     def __init__(self, max_faces: int, parent_cap: int = 400,
                  level_cap: int = 2500):
@@ -142,20 +198,25 @@ class EnumerationCursor:
         self.parent_cap = parent_cap
         self.level_cap = level_cap
         self.truncated = False  # set when a growth cap actually trimmed
-        self._seen: set = set()
+        self.work = dict.fromkeys(WORK_COUNTERS, 0)
 
     def __iter__(self):
+        self.truncated = False
+        work = self.work = dict.fromkeys(WORK_COUNTERS, 0)
+        seen: set = set()
         levels: dict[int, list] = {}
         for n in (1, 2):
             if n > self.max_faces:
                 break
             levels[n] = []
-            for key, idents, labels in sorted(_complete_specs(n)):
+            for key, idents, labels in sorted(_complete_specs(n, work)):
                 cx = build_quotient(n, idents, labels=list(labels))
                 if cx is None:
+                    work["disconnected"] += 1
                     continue
-                self._seen.add(key)
+                seen.add(key)
                 levels[n].append((idents, labels, cancellation(cx)))
+                work["classes"] += 1
                 yield AbstractComplex.wrap(cx)
         for n in range(3, self.max_faces + 1):
             pool = sorted(levels.get(n - 1, []), key=lambda t: (-t[2], t[0], t[1]))
@@ -164,7 +225,7 @@ class EnumerationCursor:
                 self.truncated = True
             grown = []
             for idents, labels, _c in parents:
-                grown.extend(self._attachments(n, idents, labels))
+                grown.extend(_attachments(n, idents, labels, seen, work))
             grown.sort(key=lambda t: (-t[3], t[0]))
             if len(grown) > self.level_cap:
                 self.truncated = True
@@ -172,37 +233,54 @@ class EnumerationCursor:
             for key, idents, labels, can in grown[:self.level_cap]:
                 cx = build_quotient(n, idents, labels=list(labels))
                 levels[n].append((idents, labels, can))
+                work["classes"] += 1
                 yield AbstractComplex.wrap(cx)
 
-    def _attachments(self, n: int, idents, labels):
-        """Attach face n-1 to an (n-1)-face complex by one or two signed
-        identifications; returns deduplicated (key, idents, labels, cancel)."""
-        new = n - 1
-        base_slots = [(f, j) for f in range(new) for j in range(4)]
-        out = []
-        firsts = [(bs, (new, j), s)
-                  for bs in base_slots for j in range(4) for s in (1, -1)]
-        for first in firsts:
-            options = [None]
-            for bs in base_slots + [(new, j) for j in range(4)]:
-                for j2 in range(4):
-                    if (new, j2) == first[1] or bs == (new, j2):
+
+def _attachments(n: int, idents, labels, seen: set, work: dict):
+    """Attach face n-1 to a connected (n-1)-face complex by one or two signed
+    identifications; returns the (key, idents, labels, cancel) of keys not in
+    seen, adding them to it.
+
+    The parent's slot table is built once; each (first, second) gluing
+    extends it by at most two unions and all label choices share the result.
+    The first identification joins the new face to the parent, so every
+    candidate is connected, and its cancellation is 4n minus its edge count."""
+    new = n - 1
+    base_slots = [(f, j) for f in range(new) for j in range(4)]
+    new_slots = [(new, j) for j in range(4)]
+    label_choices = [tuple(labels) + (lab,) for lab in range(1, max(labels) + 2)]
+    seconds = {
+        j: [None] + [(bs, (new, j2), s2)
+                     for bs in base_slots + new_slots for j2 in range(4)
+                     if j2 != j and bs != (new, j2) for s2 in (1, -1)]
+        for j in range(4)}
+    parent = slot_table(n, idents)
+    out = []
+    for bs in base_slots:
+        for j in range(4):
+            for s in (1, -1):
+                first = (bs, (new, j), s)
+                joined = slot_table(n, [first], parent)
+                for second in seconds[j]:
+                    table = joined if second is None else slot_table(n, [second], joined)
+                    if table is None:
+                        work["folded"] += len(label_choices)
                         continue
-                    for s2 in (1, -1):
-                        options.append((bs, (new, j2), s2))
-            for second in options:
-                cand = list(idents) + [first] + ([second] if second else [])
-                for lab in range(1, max(labels) + 2):
-                    labs = tuple(labels) + (lab,)
-                    key = canonical_key(n, cand, labs)
-                    if key is None or key in self._seen:
-                        continue
-                    cx = build_quotient(n, cand, labels=list(labs))
-                    if cx is None:
-                        continue
-                    self._seen.add(key)
-                    out.append((key, cand, labs, cancellation(cx)))
-        return out
+                    codes, tied = _least_codes(n, table)
+                    cand = None
+                    for labs in label_choices:
+                        key = (n, codes, _least_labels(tied, labs))
+                        work["keys"] += 1
+                        if key in seen:
+                            work["repeats"] += 1
+                            continue
+                        seen.add(key)
+                        if cand is None:
+                            cand = list(idents) + [first] + ([second] if second else [])
+                            can = 4 * n - len(set(table[0]))
+                        out.append((key, cand, labs, can))
+    return out
 
 
 def enumerate_abstract_complexes(K: int, **caps):

@@ -19,6 +19,10 @@ Z2 = ("--fixture", "z2", "--radius", "7")
 PIPELINES = {
     "z2_r7_walls_json": [(("walls", *Z2), "walls.json")],
     "z2_r7_walls_dot": [(("walls", *Z2, "--format", "dot"), "walls.dot")],
+    "scan_iso_2_0.25_1_f1":
+        "b9a7049ce9c88a6d06690c8894153d02dc4256de77cad239511c5127ff37baf1",
+    "scan_iso_2_0.25_1_f2":
+        "891884c7c73253ecfd6a65b6bafdf532fcc0183148835c3adf1d9b9b45483c70",
     "z2_r7_wall_metric_csv": [
         (("wall-metric", *Z2, "--format", "csv"), "metric.csv")],
 }
@@ -33,6 +37,12 @@ for rank, density, seed, radius in ((4, "0.1", 0, 3), (5, "0.15", 1, 2)):
 PIPELINES["ball_5_0.15_144666_r2"] = [
     (("ball", "--rank", "5", "--density", "0.15", "--seed", "144666",
       "--radius", "2"), "ball.json")]
+# the violation witnesses embed each class representative, so these pin the
+# corpus classes, their order and their representative gluings
+for faces in (1, 2):
+    PIPELINES[f"scan_iso_2_0.25_1_f{faces}"] = [
+        (("scan-iso", "--rank", "2", "--density", "0.25", "--seed", "1",
+          "--faces", str(faces)), "scan.json")]
 
 DIGESTS = {
     "ball_5_0.15_144666_r2":
@@ -41,6 +51,10 @@ DIGESTS = {
         "97c898eac081febaa05bbd0da10aac50bf95f3e4fea8cfa26464b4e085fbd8ff",
     "sampled_5_0.15_1_r2_walls":
         "425940735e29433145128abc3f529802259b4d4958d1be0761eaf77f1f65a205",
+    "scan_iso_2_0.25_1_f1":
+        "b9a7049ce9c88a6d06690c8894153d02dc4256de77cad239511c5127ff37baf1",
+    "scan_iso_2_0.25_1_f2":
+        "891884c7c73253ecfd6a65b6bafdf532fcc0183148835c3adf1d9b9b45483c70",
     "z2_r7_wall_metric_csv":
         "c908006ba16f3b0439d0c88000a8ce2f12acf3aae8b50b26995ca31bc4834acb",
     "z2_r7_walls_dot":

@@ -178,6 +178,17 @@ def test_enumerate_counts(tmp_path):
     assert doc["complete"] is True
 
 
+def test_enumerate_reports_work(tmp_path):
+    rc, doc = jrun(tmp_path, "enumerate", "--faces", "2")
+    assert rc == 0
+    work = doc["work"]
+    assert sorted(work) == ["classes", "disconnected", "folded", "keys",
+                            "repeats"]
+    assert work["classes"] == doc["classes"] == 49 + 74528
+    assert work["keys"] - work["repeats"] - work["disconnected"] \
+        == work["classes"]
+
+
 def test_capped_enumeration_is_not_reported_complete(tmp_path):
     rc, doc = jrun(tmp_path, "enumerate", "--faces", "3", "--parent-cap", "2",
                    "--level-cap", "50")

@@ -16,6 +16,7 @@ from squarewalls.complexes import (
     check_isoperimetric,
     generalized_boundary_length,
     shared_edge_pairs,
+    slot_table,
 )
 
 
@@ -144,6 +145,21 @@ def test_build_quotient_adjacent_fold():
 
 def test_build_quotient_disconnected_rejected():
     assert build_quotient(2, []) is None
+
+
+def test_slot_table_first_named_root_wins_and_base_is_kept():
+    # slot 5 joins slot 0 reversed, then slot 2 joins slot 5 the same way:
+    # all three carry root 0, the first-named slot of the first union
+    base = slot_table(2, [((0, 0), (1, 1), -1)])
+    assert base == ([0, 1, 2, 3, 4, 0, 6, 7], [1, 1, 1, 1, 1, -1, 1, 1])
+    grown = slot_table(2, [((1, 1), (0, 2), 1)], base)
+    assert grown == ([0, 1, 0, 3, 4, 0, 6, 7], [1, 1, -1, 1, 1, -1, 1, 1])
+    assert base == ([0, 1, 2, 3, 4, 0, 6, 7], [1, 1, 1, 1, 1, -1, 1, 1])
+    # slot 0 against slot 2: same class, now with a contradicting sign
+    assert slot_table(2, [((0, 0), (0, 2), 1)], grown) is None
+    assert slot_table(2, [((0, 0), (0, 2), -1)], grown) == grown
+    with pytest.raises(ValueError):
+        slot_table(1, [((0, 0), (0, 1), 0)])
 
 
 # -- planar agreement ---------------------------------------------------------

@@ -173,6 +173,29 @@ def test_complete_levels_not_truncated():
     assert not cursor.truncated
 
 
+def test_second_pass_repeats_the_first():
+    cursor = EnumerationCursor(3, parent_cap=2, level_cap=50)
+    first = [Y.to_json() for Y in cursor]
+    work = dict(cursor.work)
+    second = [Y.to_json() for Y in cursor]
+    assert len(first) == 49 + 74528 + 50
+    assert second == first
+    assert cursor.work == work
+    assert cursor.truncated
+
+
+def test_work_counters_are_deterministic():
+    a, b = (EnumerationCursor(3, parent_cap=1, level_cap=20) for _ in range(2))
+    yielded = sum(1 for _ in a)
+    list(b)
+    assert a.work == b.work
+    assert a.work["classes"] == yielded == 49 + 74528 + 20
+    # every key is new or a repeat; the growth level found more new keys
+    # than its cap kept
+    assert a.work["folded"] == a.work["disconnected"] == 0
+    assert a.work["keys"] - a.work["repeats"] > yielded
+
+
 def test_random_labeled_complex_deterministic():
     a = random_labeled_complex(17)
     b = random_labeled_complex(17)
