@@ -2,9 +2,11 @@
 
 words_equal is a bounded van Kampen prover: breadth-first rewriting of the
 boundary word by relator insertions, capped by the area bound the
-isoperimetric inequality grants for a boundary of that length. It answers
-"distinct" only when the abelianization separates the words, and
-"undecided" when the search is cut without a diagram.
+isoperimetric inequality grants for a boundary of that length. The last
+layer below the cap is closed by a conjugacy test instead of being expanded:
+an insertion there helps only if it empties the word. It answers "distinct"
+only when the abelianization separates the words, and "undecided" when the
+search is cut without a diagram.
 
 build_ball grows the ball by coset enumeration with Felsch-style deduction
 processing (Holt, Eick, O'Brien, Handbook of Computational Group Theory,
@@ -16,8 +18,11 @@ with g, completes a path missing a single edge, and merges the endpoints of
 a closed path that disagree, through a union-find that keeps the smaller id.
 Edges a merge moves onto the surviving vertex are pushed in turn. Distances
 are recomputed once per growth round, and the stabilized table is restricted
-to the requested radius (a square relator cannot identify radius-r vertices
-without passing through radius r+2).
+to the requested radius. The r+2 margin is a heuristic, not a proof: on a
+presentation that collapses, a coincidence among radius-r vertices can need
+relator cycles beyond radius r+2, and the ball then misses it (rank 6,
+density 0.2, seed 2, radius 1 gives the free 13-vertex star, while the group
+has order 4).
 """
 
 from __future__ import annotations
@@ -45,8 +50,8 @@ class BudgetExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class WordProblemBudget:
-    """hard_cap bounds the search states of words_equal and the vertices
-    build_ball creates."""
+    """hard_cap bounds the words words_equal stores below its area cap and
+    the vertices build_ball creates."""
 
     epsilon0: float = 0.05
     hard_cap: int = 1_000_000
@@ -113,7 +118,7 @@ class WordsEqualResult:
     status: str  # "equal" | "distinct" | "undecided"
     faces: int | None = None
     witness: tuple = ()  # (position, inserted relator variant) per face
-    states: int = 0
+    states: int = 0  # words stored below the area cap; the closing test stores none
 
 
 def replay_witness(P: Presentation, u, v, witness) -> bool:
@@ -137,6 +142,14 @@ def words_equal(P: Presentation, u, v,
     row lattice of the relators' exponent sums, so u and v differ already in
     the abelianization. Otherwise "undecided" means the bounded search (area
     cap, word length cap |u·v⁻¹|+8, hard cap on states) found no diagram.
+
+    The search is breadth-first over insertions of relator variants. Words one
+    face below the area cap are not expanded: inserting var at position i of w
+    empties the word exactly when var is the inverse of the reduced rotation
+    w[i:]·w[:i], so each rotation is looked up among the variants. The words
+    are visited in the same order as by full expansion, so status, faces and
+    witness are those of full expansion; states counts the stored words below
+    the cap.
     """
     budget = budget or WordProblemBudget()
     _check_budget(P, budget)
@@ -152,12 +165,32 @@ def words_equal(P: Presentation, u, v,
     cap = budget.area_cap(len(u) + len(v), P.density)
     maxlen = len(w0) + 8
     variants = _relator_variants(P)
+    variant_set = set(variants)
     parents: dict = {w0: None}
     queue = deque([(w0, 0)])
     states = 0
+
+    def proved(depth: int) -> WordsEqualResult:
+        trail = []
+        x = ()
+        while parents[x] is not None:
+            x, pos, used = parents[x]
+            trail.append((pos, used))
+        trail.reverse()
+        result = WordsEqualResult("equal", faces=depth + 1,
+                                  witness=tuple(trail), states=states)
+        assert replay_witness(P, u, v, result.witness)
+        return result
+
     while queue:
         w, depth = queue.popleft()
-        if depth == cap:
+        if depth == cap - 1:
+            # one face below the cap: only an insertion that empties w helps
+            for i in range(len(w) + 1):
+                var = inverse_word(free_reduce(w[i:] + w[:i]))
+                if var in variant_set:
+                    parents[()] = (w, i, var)
+                    return proved(depth)
             continue
         for i in range(len(w) + 1):
             for var in variants:
@@ -169,16 +202,7 @@ def words_equal(P: Presentation, u, v,
                     return WordsEqualResult("undecided", states=states)
                 parents[nxt] = (w, i, var)
                 if not nxt:
-                    trail = []
-                    x = nxt
-                    while parents[x] is not None:
-                        x, pos, used = parents[x]
-                        trail.append((pos, used))
-                    trail.reverse()
-                    result = WordsEqualResult("equal", faces=depth + 1,
-                                              witness=tuple(trail), states=states)
-                    assert replay_witness(P, u, v, result.witness)
-                    return result
+                    return proved(depth)
                 queue.append((nxt, depth + 1))
     return WordsEqualResult("undecided", states=states)
 

@@ -364,16 +364,22 @@ class MonteCarloReport:
 def monte_carlo_set_fulfill(Y: AbstractComplex, m: int, d: float, trials: int,
                             seed: int) -> MonteCarloReport:
     """Fraction of sampled relator sets that fulfill Y, with a 95% Wilson
-    interval and the multiplicative probability bound for context."""
+    interval and the multiplicative probability bound for context. Y is
+    compiled once; each trial runs the search kernel on a fresh sample, as
+    fulfill_search would."""
     from .presentation import sample_presentation
 
     if trials < 100:
         raise ValueError("need at least 100 trials")
+    compiled = _compile(Y)
     hits = 0
-    for i in range(trials):
-        pres = sample_presentation(m, d, seed * 1_000_000_007 + i)
-        if fulfill_search(Y, list(pres.relators)) is not None:
-            hits += 1
+    if compiled is not None:
+        cons = compiled[1]
+        for i in range(trials):
+            pres = sample_presentation(m, d, seed * 1_000_000_007 + i)
+            if any(len(prefix) == len(cons)
+                   for prefix, _letters in _consistent_prefixes(cons, pres.relators)):
+                hits += 1
     lo, hi = wilson_interval(hits, trials)
     return MonteCarloReport(
         bound=fulfill_probability_bound(Y, m, d),

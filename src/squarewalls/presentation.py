@@ -16,7 +16,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 Letter = int
@@ -117,11 +119,67 @@ def reduced_count(n: int) -> int:
 
 
 def enumerate_cyclically_reduced(n: int, length: int = RELATOR_LENGTH) -> list[Word]:
-    """All cyclically reduced words of the given length, canonically sorted."""
+    """All cyclically reduced words of the given length, canonically sorted:
+    the product over the canonically ordered alphabet already yields that
+    order."""
     letters = alphabet(n)
-    out = [w for w in itertools.product(letters, repeat=length) if is_cyclically_reduced(w)]
-    out.sort(key=word_key)
-    return out
+    return [w for w in itertools.product(letters, repeat=length) if is_cyclically_reduced(w)]
+
+
+class CyclicallyReducedPool(Sequence):
+    """Lazy view of the pool W_n, enumerate_cyclically_reduced(n): the same
+    words at the same positions, unranked on demand and never stored.
+
+    The k-th word is read letter by letter. The number of cyclically reduced
+    completions of a prefix depends only on the letters still to place and on
+    whether the prefix's last letter is the first letter f, its inverse -f,
+    or neither; _counts[m] holds that number for each of the three classes.
+    """
+
+    _SAME, _INVERSE, _OTHER = 0, 1, 2
+
+    def __init__(self, n: int):
+        self.letters = alphabet(n)
+        q = 2 * n
+        # m = 0: the word is complete, and its last letter must not be -f
+        counts = [(1, 0, 1)]
+        for _ in range(RELATOR_LENGTH - 1):
+            same, inv, other = counts[-1]
+            counts.append((
+                same + (q - 2) * other,  # after f: anything but -f
+                inv + (q - 2) * other,  # after -f: anything but f
+                same + inv + (q - 3) * other,  # after x != ±f: anything but -x
+            ))
+        self._counts = counts
+        self._per_first = counts[-1][self._SAME]
+
+    def __len__(self) -> int:
+        return len(self.letters) * self._per_first
+
+    def __getitem__(self, k):
+        k = operator.index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("pool index out of range")
+        first = self.letters[k // self._per_first]
+        k %= self._per_first
+        word = [first]
+        for m in range(RELATOR_LENGTH - 2, -1, -1):
+            for letter in self.letters:
+                if letter == -word[-1]:
+                    continue
+                if letter == first:
+                    c = self._counts[m][self._SAME]
+                elif letter == -first:
+                    c = self._counts[m][self._INVERSE]
+                else:
+                    c = self._counts[m][self._OTHER]
+                if k < c:
+                    word.append(letter)
+                    break
+                k -= c
+        return tuple(word)
 
 
 def relator_count(n: int, d: float) -> int:
@@ -180,17 +238,17 @@ _SAMPLE_ENUM_LIMIT = 500_000
 def sample_presentation(n: int, d: float, seed: int) -> Presentation:
     """Draw floor((2n-1)^(4d)) distinct relators uniformly from W_n.
 
-    Deterministic in (n, d, seed). For small pools the pool is enumerated and
-    random.sample used; for large ranks distinct words are rejection-sampled
-    letter by letter, which is uniform because every cyclically reduced word
-    is hit with equal probability.
+    Deterministic in (n, d, seed). For small pools random.sample draws from
+    the lazy view of the canonically ordered pool, which reads the same words
+    at the same positions as the enumerated list; for large ranks distinct
+    words are rejection-sampled letter by letter, which is uniform because
+    every cyclically reduced word is hit with equal probability.
     """
     count = relator_count(n, d)
     rng = random.Random(seed)
     total = w_count(n)
     if total <= _SAMPLE_ENUM_LIMIT:
-        pool = enumerate_cyclically_reduced(n)
-        chosen = rng.sample(pool, count)
+        chosen = rng.sample(CyclicallyReducedPool(n), count)
     else:
         letters = alphabet(n)
         seen: set[Word] = set()

@@ -37,6 +37,13 @@ for rank, density, seed, radius in ((4, "0.1", 0, 3), (5, "0.15", 1, 2)):
 PIPELINES["ball_5_0.15_144666_r2"] = [
     (("ball", "--rank", "5", "--density", "0.15", "--seed", "144666",
       "--radius", "2"), "ball.json")]
+# Monte Carlo set-fulfill on labelled fixtures, with 3 and 5 relators per
+# sampled presentation
+for fixture, rank in (("special-pairs", 2), ("house", 3)):
+    PIPELINES[f"fulfill_mc_{fixture}_{rank}"] = [
+        (("fixtures", "--name", fixture), "shape.json"),
+        (("fulfill-mc", "--in", "shape.json", "--rank", str(rank), "--density",
+          "0.25", "--trials", "300", "--seed", "3"), "mc.json")]
 # the violation witnesses embed each class representative, so these pin the
 # corpus classes, their order and their representative gluings
 for faces in (1, 2):
@@ -47,6 +54,10 @@ for faces in (1, 2):
 DIGESTS = {
     "ball_5_0.15_144666_r2":
         "46b4e888d594e4e5ff10b79261d7d26698e4dca647da350a26679326e48beff0",
+    "fulfill_mc_house_3":
+        "1ea319f2912145315d4ab769989fab5ce180941a8bebca0c12c6a7fb338b5d94",
+    "fulfill_mc_special-pairs_2":
+        "b7cf3d008e12a3ce103a4e7d2474e4063bda4193aae833c12c20946abcbbbf4f",
     "sampled_4_0.1_0_r3_walls":
         "97c898eac081febaa05bbd0da10aac50bf95f3e4fea8cfa26464b4e085fbd8ff",
     "sampled_5_0.15_1_r2_walls":

@@ -468,3 +468,20 @@ def test_monte_carlo_rejects_tiny_trial_counts():
     Y = AbstractComplex.wrap(fixtures.single_square().complex)
     with pytest.raises(ValueError):
         monte_carlo_set_fulfill(Y, 2, 0.25, trials=50, seed=1)
+
+
+@pytest.mark.parametrize("seed", [7, 12])
+def test_monte_carlo_hits_equal_per_trial_search(seed):
+    # the criterion-10 shapes, plus one that is not locally injective
+    shapes = [wrap_quotient(2, [((0, 0), (1, 2), 1)], [1, 1]),
+              wrap_quotient(2, [((0, 1), (1, 1), -1)], [1, 2]),
+              AbstractComplex.wrap(fixtures.strongly_adjacent_pair()),
+              wrap_quotient(2, [((0, 2), (1, 2), 1)], [1, 1])]
+    trials = 300
+    for Y in shapes:
+        hits = sum(
+            fulfill_search(Y, list(sample_presentation(
+                2, 0.25, seed * 1_000_000_007 + i).relators)) is not None
+            for i in range(trials))
+        rep = monte_carlo_set_fulfill(Y, 2, 0.25, trials=trials, seed=seed)
+        assert rep.estimate == hits / trials

@@ -4,10 +4,12 @@ import collections
 import itertools
 import json
 import math
+import random
 
 import pytest
 
 from squarewalls.presentation import (
+    CyclicallyReducedPool,
     Presentation,
     alphabet,
     cyclic_reduce,
@@ -21,6 +23,7 @@ from squarewalls.presentation import (
     relator_count,
     sample_presentation,
     w_count,
+    word_key,
     word_token,
 )
 
@@ -53,11 +56,55 @@ def test_reduced_count_vs_cyclic():
 
 
 def test_enumeration_is_sorted_and_complete():
-    for n in (1, 2):
+    for n in (1, 2, 3, 4):
         pool = enumerate_cyclically_reduced(n)
         assert sorted(pool, key=lambda w: [letter_key(l) for l in w]) == pool
         assert set(pool) == set(brute_pool(n))
         assert len(set(pool)) == len(pool)
+    for length in (1, 2, 3, 5):
+        pool = enumerate_cyclically_reduced(3, length)
+        assert pool == sorted(pool, key=word_key)
+
+
+def test_pool_view_unranks_the_enumeration():
+    for n in range(1, 7):
+        pool = enumerate_cyclically_reduced(n)
+        view = CyclicallyReducedPool(n)
+        assert len(view) == len(pool) == w_count(n)
+        for k, w in enumerate(pool):
+            assert view[k] == w, (n, k)
+        assert view[-1] == pool[-1]
+        for k in (len(pool), len(pool) + 7, -len(pool) - 1):
+            with pytest.raises(IndexError):
+                view[k]
+        assert list(view) == pool
+
+
+def oracle_sample(n, d, seed, pools):
+    """The enumerate-then-sample path that sample_presentation replaced,
+    with the canonically sorted pool built once per rank."""
+    if n not in pools:
+        pools[n] = sorted(
+            (w for w in itertools.product(alphabet(n), repeat=4)
+             if is_cyclically_reduced(w)), key=word_key)
+    count = relator_count(n, d)
+    rng = random.Random(seed)
+    chosen = rng.sample(pools[n], count)
+    chosen.sort(key=word_key)
+    return Presentation(rank=n, density=d, seed=seed, relators=tuple(chosen))
+
+
+def test_sample_matches_enumerated_pool_oracle():
+    pools: dict = {}
+    cases = 0
+    for n in range(1, 9):
+        for d in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4):
+            for seed in range(25):
+                got = sample_presentation(n, d, seed).to_json()
+                assert got == oracle_sample(n, d, seed, pools).to_json(), \
+                    (n, d, seed)
+                cases += 1
+    assert cases == 1400
 
 
 def test_relator_count_examples():
