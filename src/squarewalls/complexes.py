@@ -44,7 +44,7 @@ class Step(NamedTuple):
         return Step(self.edge, -self.dir)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
     """A square 2-cell: 4-step closed walk plus reading decorations."""
 
@@ -315,6 +315,11 @@ def slot_table(n_faces: int, idents, base=None):
     return root, sign
 
 
+# (edge id, dir) -> the one Step that build_quotient hands out for it, so
+# the many quotients of an enumeration share their steps
+_STEPS: dict = {}
+
+
 def build_quotient(n_faces: int, identifications, labels=None, starts=None,
                    orients=None, colors=None) -> SquareComplex | None:
     """Glue n_faces disjoint squares along slot identifications.
@@ -359,7 +364,11 @@ def build_quotient(n_faces: int, identifications, labels=None, starts=None,
     for f in range(n_faces):
         walk = []
         for x in range(4 * f, 4 * f + 4):
-            walk.append(Step(edge_id[root[x]], sign[x]))
+            key = (edge_id[root[x]], sign[x])
+            st = _STEPS.get(key)
+            if st is None:
+                st = _STEPS[key] = Step(*key)
+            walk.append(st)
         faces[f] = Face(
             tuple(walk),
             label=None if labels is None else labels[f],

@@ -331,14 +331,19 @@ class IsoViolation:
 def scan_local_iso(R: list[Word], K: int, p: IsoParams, classes=None,
                    **caps) -> list[IsoViolation]:
     """Every enumerated complex fulfillable by R whose cancellation exceeds
-    4(d+eps)|Y|, with its word assignment witness. A pre-enumerated class
-    list can be supplied to amortize the enumeration across scans."""
+    4(d+eps)|Y|, with its word assignment witness.
+
+    A pre-enumerated class list can be supplied to amortize the enumeration
+    across scans. Each class keeps its cancellation and its compiled fulfill
+    constraints once computed (AbstractComplex.cancel, .constraints), so the
+    first scan over a list pays for compiling its above-threshold classes
+    and every later scan, for any R, reuses them."""
     out = []
     for Y in (classes if classes is not None
               else enumerate_abstract_complexes(K, **caps)):
         size = len(Y.base.faces)
         threshold = 4 * (p.d + p.eps) * size
-        can = cancellation(Y.base)
+        can = Y.cancel
         if can <= threshold:
             continue
         asg = fulfill_search(Y, R)

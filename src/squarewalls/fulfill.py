@@ -16,6 +16,13 @@ ranked by (-multiplicity, label), an edge's incidences are compared by
 its face. delta(face) counts belonging incidences, kappa_i is the maximum
 delta over label-i faces, and sum_f delta(f) equals Cancel(Y) whenever the
 complex has no bare edges.
+
+Every fulfill entry point reads one compiled constraint table per complex
+(AbstractComplex.constraints): the canonical label order, each label's
+(edge position, relator position, sign) triples, and the edge ids by
+position. It does not depend on the relator words, so it is built the first
+time a complex is searched or counted and reused by every later call; the
+first scan over a corpus pays for the compile, later scans do not.
 """
 
 from __future__ import annotations
@@ -71,8 +78,28 @@ class AbstractComplex:
 
     def label_order(self) -> list[int]:
         """Labels sorted by descending multiplicity, ties by label."""
-        mult = Counter(f.label for f in self.base.faces.values())
+        mult: dict = {}
+        for f in self.base.faces.values():
+            mult[f.label] = mult.get(f.label, 0) + 1
         return sorted(mult, key=lambda i: (-mult[i], i))
+
+    @property
+    def constraints(self):
+        """The compiled constraint table (see _constraint_table), built on
+        first use and kept. A plain __dict__ fill: the table is tuples of
+        ints and ids, which the garbage collector stops tracking."""
+        d = self.__dict__
+        if "_constraints" not in d:
+            d["_constraints"] = _constraint_table(self)
+        return d["_constraints"]
+
+    @property
+    def cancel(self) -> int:
+        """Cancel(Y) over every edge, bare edges included; computed once."""
+        d = self.__dict__
+        if "_cancel" not in d:
+            d["_cancel"] = cancellation(self.base)
+        return d["_cancel"]
 
     def slot_incidences(self) -> dict:
         """edge -> list of (face id, slot, position, sign, label), sorted."""
@@ -140,29 +167,46 @@ def kappa(Y: AbstractComplex) -> FulfillStats:
     )
 
 
-def _compile(Y: AbstractComplex):
-    """(label order, per-label constraints) for the search, or None when Y is
-    not locally injective. Labels come in canonical order; each label's
-    (edge, position, sign) constraints come in _idkey edge order."""
-    order = Y.label_order()
+# one tuple per distinct label order and constraint triple, shared by every
+# table: a corpus then holds a few new objects per table, not one per slot.
+# Both kinds are tuples of small ints, bounded by the largest complex seen.
+_SHARED: dict = {}
+
+
+def _constraint_table(Y: AbstractComplex):
+    """(label order, per-label constraints, edge ids) for the kernel, or None
+    when Y is not locally injective. Labels come in canonical order; each
+    label's constraints are (edge position, relator position, sign) triples,
+    and edge ids are indexed by position. One pass over the faces: no
+    constraint order is imposed, because the kernel's answers (prefixes,
+    first witness, counts) do not depend on it."""
+    order = tuple(Y.label_order())
+    order = _SHARED.setdefault(order, order)
     cons: dict = {lab: [] for lab in order}
-    inc = Y.slot_incidences()
-    for edge in sorted(inc, key=_idkey):
-        seen = set()
-        for _fid, _j, k, s, lab in inc[edge]:
-            if (lab, k) in seen:
+    position: dict = {}
+    seen = set()
+    for f in Y.base.faces.values():
+        lab, start, orient = f.label, f.start, f.orient
+        here = cons[lab]
+        for j, st in enumerate(f.walk):
+            e = position.setdefault(st.edge, len(position))
+            k = (orient * (j - start)) % 4
+            if (e, lab, k) in seen:
                 return None
-            seen.add((lab, k))
-            cons[lab].append((edge, k, s))
-    return order, [cons[lab] for lab in order]
+            seen.add((e, lab, k))
+            t = (e, k, st.dir * orient)
+            here.append(_SHARED.setdefault(t, t))
+    return order, tuple(tuple(cons[lab]) for lab in order), tuple(position)
 
 
-def _consistent_prefixes(cons: list, W):
-    """Depth-first over word choices, labels in compiled order and words in W
-    order: yields (prefix, letters) for every prefix of word indices whose
-    induced edge letters agree, the empty prefix first. letters is the live
-    edge -> letter map, valid until the generator resumes."""
-    letters: dict = {}
+def _consistent_prefixes(table, W):
+    """Depth-first over word choices, labels in the table's order and words
+    in W order: yields (prefix, letters) for every prefix of word indices
+    whose induced edge letters agree, the empty prefix first. letters is the
+    live list of letters by edge position (None while unset), valid until the
+    generator resumes."""
+    _order, cons, edges = table
+    letters: list = [None] * len(edges)
 
     def rec(prefix: tuple):
         yield prefix, letters
@@ -171,18 +215,18 @@ def _consistent_prefixes(cons: list, W):
         here = cons[len(prefix)]
         for wi, w in enumerate(W):
             trail = []
-            for edge, k, s in here:
+            for e, k, s in here:
                 lt = w[k] if s == 1 else -w[k]
-                have = letters.get(edge)
+                have = letters[e]
                 if have is None:
-                    letters[edge] = lt
-                    trail.append(edge)
+                    letters[e] = lt
+                    trail.append(e)
                 elif have != lt:
                     break
             else:
                 yield from rec(prefix + (wi,))
-            for edge in trail:
-                del letters[edge]
+            for e in trail:
+                letters[e] = None
 
     return rec(())
 
@@ -204,15 +248,15 @@ def fulfill_search(Y: AbstractComplex, R: list[Word]) -> FulfillAssignment | Non
     """
     if not R:
         return None
-    compiled = _compile(Y)
-    if compiled is None:
+    table = Y.constraints
+    if table is None:
         return None
-    order, cons = compiled
-    for prefix, letters in _consistent_prefixes(cons, R):
+    order, _cons, edges = table
+    for prefix, letters in _consistent_prefixes(table, R):
         if len(prefix) == len(order):
             return FulfillAssignment(
                 words={lab: R[wi] for lab, wi in zip(order, prefix)},
-                edge_letters=dict(letters))
+                edge_letters=dict(zip(edges, letters)))
     return None
 
 
@@ -259,13 +303,13 @@ def exact_fulfill_probability(Y: AbstractComplex, m: int) -> ExactFulfillReport:
     pool = w_count(m)
     if pool ** n > ENUMERATION_GUARD:
         raise InfeasibleError(f"{pool}^{n} tuples exceed the enumeration guard")
-    compiled = _compile(Y)
-    if compiled is None:
+    table = Y.constraints
+    if table is None:
         z = (0.0,) * n
         return ExactFulfillReport(0.0, z, z, (0,) * n, pool)
     counts = [0] * (n + 1)
     W = enumerate_cyclically_reduced(m)
-    for prefix, _letters in _consistent_prefixes(compiled[1], W):
+    for prefix, _letters in _consistent_prefixes(table, W):
         counts[len(prefix)] += 1
     p = []
     ratios = []
@@ -294,24 +338,25 @@ def exact_set_fulfill_probability(Y: AbstractComplex, m: int, d: float,
 
     Single-label complexes use the hypergeometric closed form; otherwise all
     C(pool, r) subsets are enumerated against the feasible-tuple table.
+    Both refusals are raised before the pool is listed.
     """
     n = Y.n_labels
     pool = w_count(m)
     r = relator_count(m, d)
-    W = enumerate_cyclically_reduced(m)
     if pool ** n > ENUMERATION_GUARD:
         raise InfeasibleError("feasible-tuple table too large")
-    compiled = _compile(Y)
-    feasible = set() if compiled is None else {
-        prefix for prefix, _letters in _consistent_prefixes(compiled[1], W)
+    total = math.comb(pool, r)
+    if n > 1 and total > max_subsets:
+        raise InfeasibleError(f"{total} subsets exceed the enumeration budget")
+    table = Y.constraints
+    feasible = set() if table is None else {
+        prefix for prefix, _letters
+        in _consistent_prefixes(table, enumerate_cyclically_reduced(m))
         if len(prefix) == n}
     if n == 1:
         good = len(feasible)
-        prob = 1.0 - math.comb(pool - good, r) / math.comb(pool, r)
+        prob = 1.0 - math.comb(pool - good, r) / total
         return SetFulfillReport(prob, r, "hypergeometric", good)
-    total = math.comb(pool, r)
-    if total > max_subsets:
-        raise InfeasibleError(f"{total} subsets exceed the enumeration budget")
     hits = 0
     if n == 2:
         partners = [0] * pool
@@ -364,21 +409,21 @@ class MonteCarloReport:
 def monte_carlo_set_fulfill(Y: AbstractComplex, m: int, d: float, trials: int,
                             seed: int) -> MonteCarloReport:
     """Fraction of sampled relator sets that fulfill Y, with a 95% Wilson
-    interval and the multiplicative probability bound for context. Y is
-    compiled once; each trial runs the search kernel on a fresh sample, as
-    fulfill_search would."""
+    interval and the multiplicative probability bound for context. Each
+    trial runs the search kernel on Y's compiled table against a fresh
+    sample, as fulfill_search would."""
     from .presentation import sample_presentation
 
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    compiled = _compile(Y)
+    table = Y.constraints
     hits = 0
-    if compiled is not None:
-        cons = compiled[1]
+    if table is not None:
+        depth = len(table[0])
         for i in range(trials):
             pres = sample_presentation(m, d, seed * 1_000_000_007 + i)
-            if any(len(prefix) == len(cons)
-                   for prefix, _letters in _consistent_prefixes(cons, pres.relators)):
+            if any(len(prefix) == depth
+                   for prefix, _letters in _consistent_prefixes(table, pres.relators)):
                 hits += 1
     lo, hi = wilson_interval(hits, trials)
     return MonteCarloReport(

@@ -14,7 +14,8 @@ from squarewalls.enumeration import (
     random_labeled_complex,
     scan_local_iso,
 )
-from squarewalls.fulfill import check_assignment, fulfill_search
+from squarewalls import fulfill
+from squarewalls.fulfill import AbstractComplex, check_assignment, fulfill_search
 from squarewalls.presentation import sample_presentation
 
 
@@ -260,6 +261,28 @@ def test_scan_distinct_letter_relator(k2_classes):
         for inc in v.complex.slot_incidences().values():
             positions = {(k, s) for _f, _j, k, s, _lab in inc}
             assert len(positions) == 1  # equal position, equal direction
+
+
+def test_second_scan_builds_no_constraint_table(k2_classes, monkeypatch):
+    # fresh wrappers of the shared corpus, so no table is built yet
+    classes = [AbstractComplex(Y.base, Y.n_labels) for Y in k2_classes]
+    built = []
+    compile_table = fulfill._constraint_table
+
+    def counting(Y):
+        built.append(Y)
+        return compile_table(Y)
+
+    monkeypatch.setattr(fulfill, "_constraint_table", counting)
+    R = [(1, 2, -1, -2)]
+    p = IsoParams(d=0.05, eps=0.01)
+    first = scan_local_iso(R, 2, p, classes=classes)
+    hot = sum(Y.cancel > 4 * (p.d + p.eps) * len(Y.base.faces) for Y in classes)
+    assert first and len(built) == hot
+    del built[:]
+    assert scan_local_iso(R, 2, p, classes=classes) == first
+    assert scan_local_iso([(1, 2, 3, 1), (1, 2, 3, 2)], 2, p, classes=classes)
+    assert built == []
 
 
 # -- special cells -----------------------------------------------------------------

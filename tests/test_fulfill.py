@@ -5,11 +5,21 @@ from itertools import combinations, product
 import pytest
 
 from squarewalls import fixtures
-from squarewalls.complexes import build_quotient, cancellation
+from squarewalls import fulfill as fulfill_module
+from squarewalls.complexes import (
+    IsoParams,
+    SquareComplex,
+    _idkey,
+    build_quotient,
+    cancellation,
+)
+from squarewalls.enumeration import EnumerationCursor, scan_local_iso
 from squarewalls.fulfill import (
     AbstractComplex,
+    FulfillAssignment,
     FulfillError,
     InfeasibleError,
+    SetFulfillReport,
     check_assignment,
     exact_fulfill_probability,
     exact_set_fulfill_probability,
@@ -472,16 +482,217 @@ def test_monte_carlo_rejects_tiny_trial_counts():
 
 @pytest.mark.parametrize("seed", [7, 12])
 def test_monte_carlo_hits_equal_per_trial_search(seed):
-    # the criterion-10 shapes, plus one that is not locally injective
-    shapes = [wrap_quotient(2, [((0, 0), (1, 2), 1)], [1, 1]),
-              wrap_quotient(2, [((0, 1), (1, 1), -1)], [1, 2]),
-              AbstractComplex.wrap(fixtures.strongly_adjacent_pair()),
-              wrap_quotient(2, [((0, 2), (1, 2), 1)], [1, 1])]
+    # the criterion-10 shapes, plus one that is not locally injective; the
+    # per-trial hits of the search and of its compile-per-call oracle agree
     trials = 300
-    for Y in shapes:
-        hits = sum(
-            fulfill_search(Y, list(sample_presentation(
-                2, 0.25, seed * 1_000_000_007 + i).relators)) is not None
-            for i in range(trials))
+    for Y in criterion_10_shapes():
+        samples = [list(sample_presentation(2, 0.25, seed * 1_000_000_007 + i).relators)
+                   for i in range(trials)]
+        hits = sum(fulfill_search(Y, R) is not None for R in samples)
+        assert hits == sum(oracle_fulfill_search(Y, R) is not None for R in samples)
         rep = monte_carlo_set_fulfill(Y, 2, 0.25, trials=trials, seed=seed)
         assert rep.estimate == hits / trials
+
+
+# -- compiled constraint table against the compile-per-call path ---------------
+# The search, counts and set-level probability as they read before each
+# complex kept one compiled table, unchanged apart from their names: the
+# compile sorted the slot incidences by _idkey, keyed the live letter map by
+# edge id and ran once per call.
+
+
+def oracle_compile(Y: AbstractComplex):
+    """(label order, per-label constraints) for the search, or None when Y is
+    not locally injective. Labels come in canonical order; each label's
+    (edge, position, sign) constraints come in _idkey edge order."""
+    order = Y.label_order()
+    cons: dict = {lab: [] for lab in order}
+    inc = Y.slot_incidences()
+    for edge in sorted(inc, key=_idkey):
+        seen = set()
+        for _fid, _j, k, s, lab in inc[edge]:
+            if (lab, k) in seen:
+                return None
+            seen.add((lab, k))
+            cons[lab].append((edge, k, s))
+    return order, [cons[lab] for lab in order]
+
+
+def oracle_consistent_prefixes(cons: list, W):
+    """Depth-first over word choices, labels in compiled order and words in W
+    order: yields (prefix, letters) for every prefix of word indices whose
+    induced edge letters agree, the empty prefix first. letters is the live
+    edge -> letter map, valid until the generator resumes."""
+    letters: dict = {}
+
+    def rec(prefix: tuple):
+        yield prefix, letters
+        if len(prefix) == len(cons):
+            return
+        here = cons[len(prefix)]
+        for wi, w in enumerate(W):
+            trail = []
+            for edge, k, s in here:
+                lt = w[k] if s == 1 else -w[k]
+                have = letters.get(edge)
+                if have is None:
+                    letters[edge] = lt
+                    trail.append(edge)
+                elif have != lt:
+                    break
+            else:
+                yield from rec(prefix + (wi,))
+            for edge in trail:
+                del letters[edge]
+
+    return rec(())
+
+
+def oracle_fulfill_search(Y: AbstractComplex, R) -> FulfillAssignment | None:
+    if not R:
+        return None
+    compiled = oracle_compile(Y)
+    if compiled is None:
+        return None
+    order, cons = compiled
+    for prefix, letters in oracle_consistent_prefixes(cons, R):
+        if len(prefix) == len(order):
+            return FulfillAssignment(
+                words={lab: R[wi] for lab, wi in zip(order, prefix)},
+                edge_letters=dict(letters))
+    return None
+
+
+def oracle_counts(Y: AbstractComplex, W) -> list:
+    """Consistent prefixes per length 1..n_labels (exact_fulfill_probability's
+    counts)."""
+    counts = [0] * (Y.n_labels + 1)
+    compiled = oracle_compile(Y)
+    if compiled is not None:
+        for prefix, _letters in oracle_consistent_prefixes(compiled[1], W):
+            counts[len(prefix)] += 1
+    return counts[1:]
+
+
+def oracle_set_fulfill(Y: AbstractComplex, m: int, d: float,
+                       max_subsets: int = 2_000_000) -> SetFulfillReport:
+    n = Y.n_labels
+    pool = fulfill_module.w_count(m)
+    r = relator_count(m, d)
+    W = enumerate_cyclically_reduced(m)
+    if pool ** n > fulfill_module.ENUMERATION_GUARD:
+        raise InfeasibleError("feasible-tuple table too large")
+    compiled = oracle_compile(Y)
+    feasible = set() if compiled is None else {
+        prefix for prefix, _letters in oracle_consistent_prefixes(compiled[1], W)
+        if len(prefix) == n}
+    if n == 1:
+        good = len(feasible)
+        prob = 1.0 - math.comb(pool - good, r) / math.comb(pool, r)
+        return SetFulfillReport(prob, r, "hypergeometric", good)
+    total = math.comb(pool, r)
+    if total > max_subsets:
+        raise InfeasibleError(f"{total} subsets exceed the enumeration budget")
+    hits = 0
+    if n == 2:
+        partners = [0] * pool
+        for a, b in feasible:
+            partners[a] |= 1 << b
+        for subset in combinations(range(pool), r):
+            mask = 0
+            for b in subset:
+                mask |= 1 << b
+            if any(partners[a] & mask for a in subset):
+                hits += 1
+    else:
+        for subset in combinations(range(pool), r):
+            if any(t in feasible for t in product(subset, repeat=n)):
+                hits += 1
+    return SetFulfillReport(hits / total, r, "subset-enumeration", len(feasible))
+
+
+def criterion_10_shapes():
+    """The three criterion-10 shapes, then one that is not locally injective."""
+    return [wrap_quotient(2, [((0, 0), (1, 2), 1)], [1, 1]),
+            wrap_quotient(2, [((0, 1), (1, 1), -1)], [1, 2]),
+            AbstractComplex.wrap(fixtures.strongly_adjacent_pair()),
+            wrap_quotient(2, [((0, 2), (1, 2), 1)], [1, 1])]
+
+
+@pytest.fixture(scope="module")
+def oracle_corpus():
+    """The complete <=2-face corpus and a 100-class 3-face level."""
+    classes = list(EnumerationCursor(3, parent_cap=3, level_cap=100))
+    assert sum(len(Y.base.faces) == 3 for Y in classes) == 100
+    return classes
+
+
+def test_constraint_table_matches_oracle_compile(oracle_corpus):
+    # the same labels, constraints and injectivity verdict, with edge
+    # positions read back to ids; only the order within a label may differ
+    injective = 0
+    for Y in oracle_corpus:
+        table, expect = Y.constraints, oracle_compile(Y)
+        assert (table is None) == (expect is None)
+        if table is None:
+            continue
+        injective += 1
+        order, cons, edges = table
+        assert list(order) == expect[0]
+        assert len(set(edges)) == len(edges)
+        for got, want in zip(cons, expect[1]):
+            assert sorted((edges[e], k, s) for e, k, s in got) == sorted(want)
+    assert 1000 < injective < len(oracle_corpus)
+
+
+@pytest.mark.parametrize("rank, density, seed", [(2, 0.25, 3), (4, 0.2, 5), (6, 0.2, 8)])
+def test_search_matches_oracle_on_corpus(oracle_corpus, rank, density, seed):
+    R = list(sample_presentation(rank, density, seed).relators)
+    found = 0
+    for Y in oracle_corpus:
+        got, expect = fulfill_search(Y, R), oracle_fulfill_search(Y, R)
+        if expect is None:
+            assert got is None
+            continue
+        found += 1
+        assert got is not None
+        assert got.words == expect.words
+        assert got.edge_letters == expect.edge_letters
+    assert found > 100
+
+
+def test_exact_reports_match_oracle_on_criterion_10_shapes():
+    for Y in criterion_10_shapes():
+        assert list(exact_fulfill_probability(Y, 2).counts) == oracle_counts(Y, W2)
+        assert exact_set_fulfill_probability(Y, 2, 0.25) == oracle_set_fulfill(Y, 2, 0.25)
+
+
+def test_scan_cancellation_counts_bare_edges():
+    # the doubled-edge torus face (Cancel 2 over its own edges) plus a bare
+    # loop edge, which lowers Cancel(Y) to 1
+    torus = wrap_quotient(1, [((0, 0), (0, 2), -1), ((0, 1), (0, 3), -1)], [1])
+    (u,) = torus.base.vertices
+    cx = SquareComplex(torus.base.vertices, {**torus.base.edges, "bare": (u, u)},
+                       torus.base.faces)
+    Y = AbstractComplex.wrap(cx)
+    assert Y.cancel == cancellation(cx) == cancellation(torus.base) - 1 == 1
+    R = [(1, 2, -1, -2)]
+    # a threshold of 1.2 that Cancel 2 would beat and Cancel 1 does not
+    assert scan_local_iso(R, 1, IsoParams(d=0.2, eps=0.1), classes=[torus])
+    assert scan_local_iso(R, 1, IsoParams(d=0.2, eps=0.1), classes=[Y]) == []
+    (v,) = scan_local_iso(R, 1, IsoParams(d=0.05, eps=0.01), classes=[Y])
+    assert v.cancel == 1
+
+
+def test_set_fulfill_refuses_before_listing_the_pool(monkeypatch):
+    def refuse(m):
+        raise AssertionError("the pool was listed")
+
+    monkeypatch.setattr(fulfill_module, "enumerate_cyclically_reduced", refuse)
+    three = wrap_quotient(3, [((0, 0), (1, 0), 1), ((1, 1), (2, 1), 1)], [1, 2, 3])
+    with pytest.raises(InfeasibleError, match="^feasible-tuple table too large$"):
+        exact_set_fulfill_probability(three, 3, 0.25)
+    shared = wrap_quotient(2, [((0, 1), (1, 1), -1)], [1, 2])
+    with pytest.raises(InfeasibleError,
+                       match="^95284 subsets exceed the enumeration budget$"):
+        exact_set_fulfill_probability(shared, 2, 0.25, max_subsets=10)
