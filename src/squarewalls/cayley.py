@@ -18,11 +18,16 @@ with g, completes a path missing a single edge, and merges the endpoints of
 a closed path that disagree, through a union-find that keeps the smaller id.
 Edges a merge moves onto the surviving vertex are pushed in turn. Distances
 are recomputed once per growth round, and the stabilized table is restricted
-to the requested radius. The r+2 margin is a heuristic, not a proof: on a
-presentation that collapses, a coincidence among radius-r vertices can need
-relator cycles beyond radius r+2, and the ball then misses it (rank 6,
-density 0.2, seed 2, radius 1 gives the free 13-vertex star, while the group
-has order 4).
+to the requested radius.
+
+A ball vertex is complete when every closed relator trace from it in the
+table stays inside the ball, so that the ball holds every face of the
+ambient complex at it.
+
+The r+2 margin is a heuristic, not a proof: on a presentation that
+collapses, a coincidence among radius-r vertices can need relator cycles
+beyond radius r+2, and the ball then misses it (rank 6, density 0.2, seed 2,
+radius 1 gives the free 13-vertex star, while the group has order 4).
 """
 
 from __future__ import annotations
@@ -383,7 +388,12 @@ def _ball_from_table(P: Presentation, r: int, dist: dict, find, neighbor,
                      work: dict) -> CayleyBall:
     """The radius-r ball of a closed coset table, whose vertex ids are
     renamed to their shortlex-geodesic words; dist holds the distance from
-    the origin of at least every table vertex within radius r."""
+    the origin of at least every table vertex within radius r.
+
+    One trace of each relator rotation from each ball vertex finds both the
+    faces, the closed traces whose four vertices lie in the ball, and the
+    completeness flags: a vertex is complete exactly when every closed trace
+    from it lies in the ball."""
     gens = sorted(alphabet(P.rank), key=letter_key)
     live = sorted((x for x in dist if dist[x] <= r), key=lambda x: (dist[x], x))
     live_set = set(live)
@@ -408,17 +418,13 @@ def _ball_from_table(P: Presentation, r: int, dist: dict, find, neighbor,
             if w in live_set:
                 edges[(rep[v], g)] = (rep[v], rep[w])
 
-    # ambient[v] holds the faces of the ambient Cayley complex at v, keyed by
-    # their vertex cycle up to rotation and reversal. Tracing the relator
-    # rotations from v finds them all: a closed trace of the inverse relator
-    # is the reversal of one of these. No cyclically reduced length-4 word
-    # is a rotation of its own inverse, so the key tells faces apart exactly
-    # as the walk key below does.
+    # a closed trace of an inverse relator from v is the reversal of a
+    # relator trace from v, so the relator rotations find every face at v
     faces = {}
     seen_walks: dict = {}
-    ambient: dict = {}
+    complete = {}
     for v in live:
-        at_v = ambient[v] = set()
+        complete[rep[v]] = True
         for ri, relator in enumerate(P.relators):
             for k in range(4):
                 rot = relator[k:] + relator[:k]
@@ -430,11 +436,8 @@ def _ball_from_table(P: Presentation, r: int, dist: dict, find, neighbor,
                     path.append(nxt)
                 if len(path) != 5 or path[-1] != path[0]:
                     continue
-                cycle = tuple(path[:4])
-                rev = cycle[::-1]
-                at_v.add((ri, min(min(cycle[t:] + cycle[:t] for t in range(4)),
-                                  min(rev[t:] + rev[:t] for t in range(4)))))
-                if not live_set.issuperset(cycle):
+                if not live_set.issuperset(path):
+                    complete[rep[v]] = False
                     continue
                 steps = []
                 for idx, l in enumerate(rot):
@@ -457,53 +460,4 @@ def _ball_from_table(P: Presentation, r: int, dist: dict, find, neighbor,
         faces[i] = seen_walks[key]
 
     base = SquareComplex([rep[v] for v in live], edges, faces)
-    face_corners = {}
-    for fid, f in faces.items():
-        for st in f.walk:
-            u, w = edges[st.edge]
-            face_corners.setdefault(u, set()).add(fid)
-            face_corners.setdefault(w, set()).add(fid)
-    complete = {}
-    for v in live:
-        present = len(face_corners.get(rep[v], ()))
-        complete[rep[v]] = present == len(ambient[v])
     return CayleyBall(base, r, P, complete, work)
-
-
-# -- geodesics ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GeodesicsReport:
-    distance: int
-    paths: tuple  # tuples of edge ids
-    truncated: bool
-
-
-def geodesics(ball: CayleyBall, x, y, cap: int = 10_000) -> GeodesicsReport:
-    """All shortest edge paths from x to y in the ball's 1-skeleton."""
-    X = ball.base
-    if x not in X.vertices or y not in X.vertices:
-        raise ValueError("endpoints must be ball vertices")
-    idx = X.skeleton
-    source, target = idx.position[x], idx.position[y]
-    dist, _via = idx.bfs(source)
-    if dist[target] < 0:
-        raise ValueError("endpoints are not connected")
-    paths: list = []
-    truncated = False
-
-    def backtrack(v, suffix):
-        nonlocal truncated
-        if len(paths) >= cap:
-            truncated = True
-            return
-        if v == source:
-            paths.append(tuple(suffix))
-            return
-        for u, eid in idx.adj[v]:
-            if dist[u] == dist[v] - 1:
-                backtrack(u, [eid] + suffix)
-
-    backtrack(target, [])
-    return GeodesicsReport(dist[target], tuple(paths), truncated)

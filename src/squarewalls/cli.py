@@ -3,9 +3,10 @@
 Every artifact embeds {version, config, seed}; outputs are canonicalized
 (sorted keys, sorted rows) so identical configurations produce identical
 bytes. Exit codes: 0 = report written / checks pass, 1 = a checked
-invariant failed, 2 = usage error, 3 = an enumeration cap or the ball's
-vertex budget cut the run short and it found nothing (the artifact says
-complete: false).
+invariant failed, 2 = usage error (a bad flag or value, or an --in file
+that cannot be read as what the command needs), 3 = an enumeration cap or
+the ball's vertex budget cut the run short and it found nothing (the
+artifact says complete: false).
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from .walls import (
 )
 
 _NON_CONFIG = {"func", "out"}
+# the formats a command writes, when more than JSON
+FORMATS = {"walls": ("json", "dot"), "wall-metric": ("json", "csv")}
 TRUNCATED = 3  # exit status of a capped run that found nothing
 
 
@@ -60,30 +63,34 @@ def _emit_json(args, doc: dict) -> None:
     _emit(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _read_in(parser, path: str, key: str, cls):
+    """The cls object stored in the JSON file at path, bare or under key in
+    an artifact; a file that cannot be read as one is a usage error."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        parser.error(f"cannot read {path}: {exc}")
+    if isinstance(doc, dict) and key in doc:
+        doc = doc[key]
+    try:
+        return cls.from_json(json.dumps(doc))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        parser.error(f"{path} does not hold a {key}: {exc!r}")
+
+
 def _load_complex(args, parser) -> SquareComplex:
     infile = getattr(args, "infile", None)
     if bool(infile) == bool(args.fixture):
         parser.error("provide exactly one of --in / --fixture")
-    if args.fixture:
-        kwargs = {}
-        if args.radius is not None:
-            kwargs["radius"] = args.radius
-        if args.length is not None:
-            kwargs["length"] = args.length
-        if args.k is not None:
-            kwargs["k"] = args.k
-        try:
-            return make_fixture(args.fixture, **kwargs)
-        except KeyError as exc:
-            parser.error(str(exc))
+    if infile:
+        return _read_in(parser, infile, "complex", SquareComplex)
+    kwargs = {name: getattr(args, name) for name in ("radius", "length", "k")
+              if getattr(args, name) is not None}
     try:
-        with open(infile) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read {infile}: {exc}")
-    if "complex" in doc:
-        doc = doc["complex"]
-    return SquareComplex.from_json(json.dumps(doc))
+        return make_fixture(args.fixture, **kwargs)
+    except (KeyError, ValueError) as exc:
+        parser.error(str(exc))
 
 
 def _kinds(args, parser):
@@ -98,8 +105,15 @@ def _vertex_token(v) -> str:
     return json.dumps(_id_out(v), sort_keys=True, separators=(",", ":"))
 
 
+def _sample(args, parser) -> Presentation:
+    try:
+        return sample_presentation(args.rank, args.density, args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _cmd_sample(args, parser) -> int:
-    P = sample_presentation(args.rank, args.density, args.seed)
+    P = _sample(args, parser)
     doc = _envelope(args)
     doc["presentation"] = json.loads(P.to_json())
     _emit_json(args, doc)
@@ -108,8 +122,11 @@ def _cmd_sample(args, parser) -> int:
 
 def _cmd_enumerate(args, parser) -> int:
     counts: dict = {}
-    cursor = EnumerationCursor(
-        args.faces, parent_cap=args.parent_cap, level_cap=args.level_cap)
+    try:
+        cursor = EnumerationCursor(
+            args.faces, parent_cap=args.parent_cap, level_cap=args.level_cap)
+    except ValueError as exc:
+        parser.error(str(exc))
     total = 0
     for Y in cursor:
         key = f"{len(Y.base.faces)},{Y.n_labels}"
@@ -125,9 +142,12 @@ def _cmd_enumerate(args, parser) -> int:
 
 
 def _cmd_scan_iso(args, parser) -> int:
-    P = sample_presentation(args.rank, args.density, args.seed)
-    params = IsoParams(d=args.density, eps=args.epsilon)
-    cursor = EnumerationCursor(args.faces)
+    P = _sample(args, parser)
+    try:
+        params = IsoParams(d=args.density, eps=args.epsilon)
+        cursor = EnumerationCursor(args.faces)
+    except ValueError as exc:
+        parser.error(str(exc))
     violations = scan_local_iso(list(P.relators), args.faces, params,
                                 classes=cursor)
     doc = _envelope(args)
@@ -141,7 +161,7 @@ def _cmd_scan_iso(args, parser) -> int:
 
 
 def _cmd_special_cells(args, parser) -> int:
-    P = sample_presentation(args.rank, args.density, args.seed)
+    P = _sample(args, parser)
     report = check_special_cells(list(P.relators))
     doc = _envelope(args)
     doc["presentation"] = json.loads(P.to_json())
@@ -152,19 +172,14 @@ def _cmd_special_cells(args, parser) -> int:
 
 def _cmd_ball(args, parser) -> int:
     if args.infile:
-        try:
-            with open(args.infile) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read {args.infile}: {exc}")
-        if "presentation" in doc:
-            doc = doc["presentation"]
-        P = Presentation.from_json(json.dumps(doc))
+        P = _read_in(parser, args.infile, "presentation", Presentation)
     else:
-        P = sample_presentation(args.rank, args.density, args.seed)
+        P = _sample(args, parser)
     budget = WordProblemBudget(hard_cap=args.hard_cap)
     try:
         ball = build_ball(P, args.radius, budget)
+    except ValueError as exc:
+        parser.error(str(exc))
     except BudgetExhausted as exc:
         doc = _envelope(args)
         doc["complete"] = False
@@ -290,16 +305,12 @@ def _cmd_windows(args, parser) -> int:
 
 
 def _cmd_fulfill_mc(args, parser) -> int:
+    Y = _read_in(parser, args.infile, "complex", AbstractComplex)
     try:
-        with open(args.infile) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read {args.infile}: {exc}")
-    if "complex" in doc:
-        doc = doc["complex"]
-    Y = AbstractComplex.from_json(json.dumps(doc))
-    report = monte_carlo_set_fulfill(Y, args.rank, args.density,
-                                     args.trials, args.seed)
+        report = monte_carlo_set_fulfill(Y, args.rank, args.density,
+                                         args.trials, args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     out = _envelope(args)
     out["report"] = report.to_json_dict()
     _emit_json(args, out)
@@ -315,7 +326,6 @@ def _cmd_fixtures(args, parser) -> int:
 
 
 def _add_common(sp):
-    sp.add_argument("--format", choices=("json", "csv", "dot"), default="json")
     sp.add_argument("--out", default=None)
     sp.add_argument("--seed", type=int, default=0)
 
@@ -411,6 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=_cmd_fixtures)
 
+    for name, sp in sub.choices.items():
+        sp.add_argument("--format", choices=FORMATS.get(name, ("json",)),
+                        default="json")
     return parser
 
 

@@ -27,7 +27,7 @@ import json
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Hashable, Iterable, NamedTuple
+from typing import Hashable, Iterable, NamedTuple
 
 VALID_COLORS = ("regular", "red", "blue")
 
@@ -66,10 +66,6 @@ class Face:
             raise ComplexStructureError("orientation must be +1 or -1")
         if self.color not in VALID_COLORS:
             raise ComplexStructureError(f"bad color {self.color!r}")
-
-    def slot_of_position(self, k: int) -> int:
-        """Walk slot reading relator position k."""
-        return (self.start + self.orient * k) % 4
 
     def position_of_slot(self, j: int) -> int:
         """Relator position read at walk slot j."""
@@ -315,13 +311,22 @@ def slot_table(n_faces: int, idents, base=None):
     return root, sign
 
 
-# (edge id, dir) -> the one Step that build_quotient hands out for it, so
-# the many quotients of an enumeration share their steps
+# (edge id, dir) -> the one Step that build_quotient hands out for it, and
+# prefix -> the id strings it has handed out by index, so the many quotients
+# of an enumeration share their steps and ids
 _STEPS: dict = {}
+_IDS: dict = {"e": [], "u": []}
 
 
-def build_quotient(n_faces: int, identifications, labels=None, starts=None,
-                   orients=None, colors=None) -> SquareComplex | None:
+def _ids(prefix: str, n: int) -> list:
+    """The shared id strings prefix0, prefix1, ...: at least n of them."""
+    names = _IDS[prefix]
+    names.extend(f"{prefix}{i}" for i in range(len(names), n))
+    return names
+
+
+def build_quotient(n_faces: int, identifications,
+                   labels=None) -> SquareComplex | None:
     """Glue n_faces disjoint squares along slot identifications.
 
     identifications: iterable of ((f, j), (g, k), sign): slot j of face f is
@@ -356,8 +361,9 @@ def build_quotient(n_faces: int, identifications, labels=None, starts=None,
                         corner[z] = ra
 
     edge_roots = sorted(set(root))
-    edge_id = {r: f"e{i}" for i, r in enumerate(edge_roots)}
-    vert_id = {r: f"u{i}" for i, r in enumerate(sorted(set(corner)))}
+    edge_id = dict(zip(edge_roots, _ids("e", len(edge_roots))))
+    vert_roots = sorted(set(corner))
+    vert_id = dict(zip(vert_roots, _ids("u", len(vert_roots))))
     edges = {edge_id[r]: (vert_id[corner[r]], vert_id[corner[head(r)]])
              for r in edge_roots}
     faces = {}
@@ -369,13 +375,7 @@ def build_quotient(n_faces: int, identifications, labels=None, starts=None,
             if st is None:
                 st = _STEPS[key] = Step(*key)
             walk.append(st)
-        faces[f] = Face(
-            tuple(walk),
-            label=None if labels is None else labels[f],
-            start=0 if starts is None else starts[f],
-            orient=1 if orients is None else orients[f],
-            color="regular" if colors is None else colors[f],
-        )
+        faces[f] = Face(tuple(walk), label=None if labels is None else labels[f])
     try:
         return SquareComplex(vert_id.values(), edges, faces)
     except ComplexStructureError:
@@ -387,16 +387,10 @@ def build_quotient(n_faces: int, identifications, labels=None, starts=None,
 
 @dataclass(frozen=True)
 class Diagram:
-    """A complex with a distinguished closed boundary walk.
-
-    rotations (optional) is a planar embedding witness: vertex -> cyclic list
-    of (edge, end) darts. It is carried, not verified; the fixtures supply
-    consistent ones and the checkers rely only on the boundary walk.
-    """
+    """A complex with a distinguished closed boundary walk."""
 
     complex: SquareComplex
     boundary: tuple[Step, ...]
-    rotations: Any = None
 
     def __post_init__(self):
         cx = self.complex

@@ -37,7 +37,6 @@ from itertools import combinations, permutations
 
 from .complexes import (
     IsoParams,
-    SquareComplex,
     build_quotient,
     cancellation,
     check_generalized_iso,
@@ -160,18 +159,28 @@ def _complete_specs(n_faces: int, work=None):
         for choice in sign_choices:
             idents = _spec_idents(list(zip(blocks, choice)))
             table = slot_table(n_faces, idents)
-            if table is None:
-                work["folded"] += len(label_strings)
-                continue
-            codes, tied = _least_codes(n_faces, table)
-            for labels in label_strings:
-                key = (n_faces, codes, _least_labels(tied, labels))
-                work["keys"] += 1
-                if key in seen:
-                    work["repeats"] += 1
-                    continue
-                seen.add(key)
+            for key, labels in _new_keys(n_faces, table, label_strings, seen, work):
                 yield key, idents, labels
+
+
+def _new_keys(n_faces: int, table, label_choices, seen: set, work: dict) -> list:
+    """(key, labels) for each label choice on one gluing's slot table whose
+    key is not in seen yet, adding it to seen. work counts a folded table
+    (None) once per label choice, else every key computed and every repeat."""
+    if table is None:
+        work["folded"] += len(label_choices)
+        return []
+    codes, tied = _least_codes(n_faces, table)
+    out = []
+    for labels in label_choices:
+        key = (n_faces, codes, _least_labels(tied, labels))
+        work["keys"] += 1
+        if key in seen:
+            work["repeats"] += 1
+            continue
+        seen.add(key)
+        out.append((key, labels))
+    return out
 
 
 def _sign_tuples(k: int):
@@ -264,22 +273,11 @@ def _attachments(n: int, idents, labels, seen: set, work: dict):
                 joined = slot_table(n, [first], parent)
                 for second in seconds[j]:
                     table = joined if second is None else slot_table(n, [second], joined)
-                    if table is None:
-                        work["folded"] += len(label_choices)
-                        continue
-                    codes, tied = _least_codes(n, table)
-                    cand = None
-                    for labs in label_choices:
-                        key = (n, codes, _least_labels(tied, labs))
-                        work["keys"] += 1
-                        if key in seen:
-                            work["repeats"] += 1
-                            continue
-                        seen.add(key)
-                        if cand is None:
-                            cand = list(idents) + [first] + ([second] if second else [])
-                            can = 4 * n - len(set(table[0]))
-                        out.append((key, cand, labs, can))
+                    fresh = _new_keys(n, table, label_choices, seen, work)
+                    if fresh:
+                        cand = list(idents) + [first] + ([second] if second else [])
+                        can = 4 * n - len(set(table[0]))
+                        out.extend((key, cand, labs, can) for key, labs in fresh)
     return out
 
 
@@ -381,11 +379,6 @@ def _compatible(ms):
     return len(set(ks)) == len(ks) and len(set(ls)) == len(ls)
 
 
-def _pair_quotient(u_idx, v_idx, ms, labels):
-    idents = [((0, k), (1, l), s) for k, l, s in ms]
-    return build_quotient(2, idents, labels=labels)
-
-
 @dataclass(frozen=True)
 class PairOverlap:
     i: int
@@ -422,21 +415,20 @@ class SpecialCellsReport:
                 for w in items
             ]
 
+        def enc_third(items):
+            return [
+                {"i": w.pair.i, "j": w.pair.j, "third": w.third,
+                 "edge_matches": list(map(list, w.edge_matches))}
+                for w in items
+            ]
+
         return {
             "three_shares": enc(self.three_shares),
             "same_relator_three_shares": enc(self.same_relator_three_shares),
             "strong_pairs": enc(self.strong_pairs),
             "same_relator_strong_pairs": enc(self.same_relator_strong_pairs),
-            "third_face_witnesses": [
-                {"i": w.pair.i, "j": w.pair.j, "third": w.third,
-                 "edge_matches": list(map(list, w.edge_matches))}
-                for w in self.third_face_witnesses
-            ],
-            "same_relator_third_face": [
-                {"i": w.pair.i, "j": w.pair.j, "third": w.third,
-                 "edge_matches": list(map(list, w.edge_matches))}
-                for w in self.same_relator_third_face
-            ],
+            "third_face_witnesses": enc_third(self.third_face_witnesses),
+            "same_relator_third_face": enc_third(self.same_relator_third_face),
             "cross_witness_count": self.cross_witness_count,
         }
 
@@ -470,7 +462,8 @@ def check_special_cells(R: list[Word]) -> SpecialCellsReport:
                     if (size, key) in pair_seen:
                         continue
                     pair_seen.add((size, key))
-                    if _pair_quotient(i, j, key, [1, 2] if not same else [1, 1]) is None:
+                    idents = [((0, k), (1, l), s) for k, l, s in key]
+                    if build_quotient(2, idents, labels=[1, 1 if same else 2]) is None:
                         continue
                     overlap = PairOverlap(i, j, key, same)
                     (sink_same if same else sink).append(overlap)

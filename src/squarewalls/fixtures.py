@@ -92,12 +92,7 @@ def grid(w: int, h: int) -> Diagram:
         + [Step(("h", x, h), -1) for x in range(w - 1, -1, -1)]
         + [Step(("v", 0, y), -1) for y in range(h - 1, -1, -1)]
     )
-    rotations = {}
-    for x, y in vertices:
-        around = [("h", x, y), ("v", x, y), ("h", x - 1, y), ("v", x, y - 1)]
-        rotations[(x, y)] = tuple(e for e in around if e in edges)
-    return Diagram(SquareComplex(vertices, edges, faces), tuple(boundary),
-                   rotations=rotations)
+    return Diagram(SquareComplex(vertices, edges, faces), tuple(boundary))
 
 
 def annulus(k: int) -> SquareComplex:

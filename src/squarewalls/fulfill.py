@@ -231,14 +231,6 @@ def _consistent_prefixes(table, W):
     return rec(())
 
 
-def _locally_injective(Y: AbstractComplex) -> bool:
-    for inc in Y.slot_incidences().values():
-        pairs = [(lab, k) for _fid, _j, k, _s, lab in inc]
-        if len(set(pairs)) != len(pairs):
-            return False
-    return True
-
-
 def fulfill_search(Y: AbstractComplex, R: list[Word]) -> FulfillAssignment | None:
     """Backtracking search for a label -> word assignment (repetition across
     labels allowed) whose induced edge letters are consistent.
@@ -261,13 +253,15 @@ def fulfill_search(Y: AbstractComplex, R: list[Word]) -> FulfillAssignment | Non
 
 
 def check_assignment(Y: AbstractComplex, asg: FulfillAssignment) -> bool:
-    """Full revalidation of a search witness from scratch."""
+    """Full revalidation of a search witness from scratch: Y must be
+    locally injective, and each edge must get one letter."""
     if set(asg.words) != set(Y.label_order()):
-        return False
-    if not _locally_injective(Y):
         return False
     letters: dict = {}
     for edge, inc in Y.slot_incidences().items():
+        pairs = [(lab, k) for _fid, _j, k, _s, lab in inc]
+        if len(set(pairs)) != len(pairs):
+            return False
         for _fid, _j, k, s, lab in inc:
             w = asg.words[lab]
             lt = w[k] if s == 1 else -w[k]

@@ -57,10 +57,6 @@ def word_token(w: Word) -> str:
     return " ".join(letter_token(l) for l in w)
 
 
-def parse_word(s: str) -> Word:
-    return tuple(parse_letter(t) for t in s.split())
-
-
 def alphabet(n: int) -> list[Letter]:
     """All 2n letters in canonical order: -1, 1, -2, 2, ..."""
     if n < 1:
@@ -96,13 +92,6 @@ def free_reduce(w: Word) -> Word:
     return tuple(out)
 
 
-def cyclic_reduce(w: Word) -> Word:
-    w = free_reduce(w)
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return w
-
-
 def w_count(n: int) -> int:
     """|W_n| = number of cyclically reduced words of length 4 over n generators.
 
@@ -111,11 +100,6 @@ def w_count(n: int) -> int:
     """
     m = 2 * n - 1
     return m**4 + m
-
-
-def reduced_count(n: int) -> int:
-    """Number of (plainly) reduced words of length 4."""
-    return 2 * n * (2 * n - 1) ** 3
 
 
 def enumerate_cyclically_reduced(n: int, length: int = RELATOR_LENGTH) -> list[Word]:
@@ -188,6 +172,8 @@ def relator_count(n: int, d: float) -> int:
     Values that are within 1e-9 of an integer are rounded first so that
     e.g. d=0.25 at any rank gives exactly 2n-1 despite float pow noise.
     """
+    if n < 1:
+        raise ValueError("rank must be >= 1")
     if not (0.0 < d < 1.0):
         raise ValueError("density must be in (0,1)")
     x = float(2 * n - 1) ** (RELATOR_LENGTH * d)

@@ -41,11 +41,8 @@ class ExtractionFailed(RuntimeError):
 @dataclass(frozen=True)
 class PaintedComplex:
     base: SquareComplex
-    pairs: tuple  # (face, face, shared edge ids), face order as discovered
+    pairs: tuple  # (face, face, shared edge ids), in canonical face order
     colors: dict  # face id -> "red" | "blue" | "regular"
-
-    def color(self, fid) -> str:
-        return self.colors[fid]
 
     def partner(self, fid):
         for f1, f2, _shared in self.pairs:
@@ -62,36 +59,26 @@ class PaintedComplex:
         return ()
 
 
-def paint(X: SquareComplex, pairs=None) -> PaintedComplex:
+def paint(X: SquareComplex) -> PaintedComplex:
     """Color each strongly adjacent pair: the face with the smaller
     (label, start, orient) key red, its partner blue; faces of equal label
     inherit the color. Deterministic in face content, independent of ids.
 
-    Without explicit pairs, a canonical maximal matching of the strongly
-    adjacent pairs is used: candidates in face-key order, greedily, so a
-    face adjacent to several others is paired with the first and the rest
-    stay regular. Caller-supplied pairs must already form a matching.
+    The pairs are a canonical maximal matching of the strongly adjacent
+    pairs: candidates in face-key order (as shared_edge_pairs lists them),
+    greedily, so a face adjacent to several others is paired with the first
+    and the rest stay regular.
     """
-    if pairs is None:
-        cand, _violations = shared_edge_pairs(X)
-        matched: set = set()
-        chosen = []
-        for f1, f2, shared in sorted(
-                cand, key=lambda p: (_idkey(p[0]), _idkey(p[1]))):
-            if f1 in matched or f2 in matched:
-                continue
-            matched.update((f1, f2))
-            chosen.append((f1, f2, shared))
-        pairs = chosen
-    seen: Counter = Counter()
-    for f1, f2, _shared in pairs:
-        seen[f1] += 1
-        seen[f2] += 1
-    doubled = [f for f, c in seen.items() if c > 1]
-    if doubled:
-        raise PaintingConflict(f"face {doubled[0]!r} is in two pairs")
+    cand, _violations = shared_edge_pairs(X)
+    matched: set = set()
+    pairs = []
+    for f1, f2, shared in cand:
+        if f1 in matched or f2 in matched:
+            continue
+        matched.update((f1, f2))
+        pairs.append((f1, f2, shared))
     label_color: dict = {}
-    for f1, f2, _shared in sorted(pairs, key=lambda p: (_idkey(p[0]), _idkey(p[1]))):
+    for f1, f2, _shared in pairs:
         keys = []
         for fid in (f1, f2):
             face = X.faces[fid]
@@ -113,6 +100,14 @@ def paint(X: SquareComplex, pairs=None) -> PaintedComplex:
 
 
 # -- hypergraph tracing -----------------------------------------------------------
+
+
+def _find(parent: dict, x):
+    """Root of x in a union-find kept as a dict, halving the path."""
+    while parent.setdefault(x, x) != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 @dataclass(frozen=True)
@@ -160,18 +155,11 @@ def trace_hypergraphs(painted: PaintedComplex, kind: str) -> list[Hypergraph]:
             a, b = sorted((e1, e2), key=_idkey)
             segments.append((a, b, fid))
     parent: dict = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b, _f in segments:
-        parent[find(a)] = find(b)
+        parent[_find(parent, a)] = _find(parent, b)
     groups: dict = {}
     for seg in segments:
-        groups.setdefault(find(seg[0]), []).append(seg)
+        groups.setdefault(_find(parent, seg[0]), []).append(seg)
     out = []
     for root in sorted(groups, key=_idkey):
         segs = sorted(groups[root], key=lambda s: (_idkey(s[0]), _idkey(s[1]), _idkey(s[2])))
@@ -208,21 +196,15 @@ def is_embedded_tree(H: Hypergraph) -> TreeReport:
         return TreeReport(False, TreeWitness("repeated-face", f, segs))
     adj: dict = {v: [] for v in H.vertices}
     parent: dict = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for seg in H.edges:
         a, b, _f = seg
         if a == b:
             return TreeReport(False, TreeWitness("cycle", None, (seg,)))
-        if find(a) == find(b):
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra == rb:
             cycle = _segment_path(adj, a, b) + [seg]
             return TreeReport(False, TreeWitness("cycle", None, tuple(cycle)))
-        parent[find(a)] = find(b)
+        parent[ra] = rb
         adj[a].append((b, seg))
         adj[b].append((a, seg))
     return TreeReport(True, None)
@@ -490,6 +472,14 @@ class PairBoundReport:
     status: str  # "pass" | "violation" | "indeterminate"
 
 
+def _one_sided_wall_crosses(W: WallDecomposition, edges: set) -> bool:
+    """Does some wall crossing these edges have a complement count other
+    than two? The separation argument needs two sides, so a check that
+    fails there is indeterminate rather than failed."""
+    return any(rep.count != 2 for H, rep in zip(W.walls, W.reports)
+               if H.vertices & edges)
+
+
 def check_wall_lower_bound(W: WallDecomposition, X: SquareComplex,
                            pairs) -> list[PairBoundReport]:
     """d_wall >= floor(d_edge / 15) per pair. A failing pair is only
@@ -511,11 +501,7 @@ def check_wall_lower_bound(W: WallDecomposition, X: SquareComplex,
         if d_wall >= bound:
             status = "pass"
         else:
-            gset = set(tree.geodesic(y)[1])
-            bad = any(
-                rep.count != 2
-                for H, rep in zip(W.walls, W.reports)
-                if H.vertices & gset)
+            bad = _one_sided_wall_crosses(W, set(tree.geodesic(y)[1]))
             status = "indeterminate" if bad else "violation"
         out.append(PairBoundReport(x, y, d_edge, d_wall, bound, status))
     return out
@@ -592,9 +578,6 @@ def check_window_crossing(X: SquareComplex, W: WallDecomposition,
         if any(e in window for e, _idx in single):
             statuses.append("pass")
             continue
-        bad = any(
-            rep.count != 2
-            for H, rep in zip(W.walls, W.reports)
-            if H.vertices & window)
+        bad = _one_sided_wall_crosses(W, window)
         statuses.append("indeterminate" if bad else "fail")
     return WindowReport(len(gamma), tuple(statuses))

@@ -19,10 +19,6 @@ Z2 = ("--fixture", "z2", "--radius", "7")
 PIPELINES = {
     "z2_r7_walls_json": [(("walls", *Z2), "walls.json")],
     "z2_r7_walls_dot": [(("walls", *Z2, "--format", "dot"), "walls.dot")],
-    "scan_iso_2_0.25_1_f1":
-        "b9a7049ce9c88a6d06690c8894153d02dc4256de77cad239511c5127ff37baf1",
-    "scan_iso_2_0.25_1_f2":
-        "891884c7c73253ecfd6a65b6bafdf532fcc0183148835c3adf1d9b9b45483c70",
     "z2_r7_wall_metric_csv": [
         (("wall-metric", *Z2, "--format", "csv"), "metric.csv")],
 }

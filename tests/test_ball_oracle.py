@@ -8,8 +8,9 @@ breadth-first search after every pass. Both closures hand their table to the
 same extraction step, so equal to_json() bytes mean equal tables inside the
 radius, per-vertex completeness flags included.
 
-The extraction step's completeness flags are in turn checked against the
-per-vertex face count it replaced, which traced the inverse relator too.
+The extraction step's completeness flags are in turn checked against an
+independent per-vertex face count, which traces the inverse relator too and
+tells faces apart by the table edges they use.
 """
 
 from collections import deque
@@ -146,10 +147,11 @@ def rescan_ball(P, r, budget=None):
 
 def _incident_face_count(P, v, neighbor, find):
     """Faces of the ambient Cayley complex incident to v, read off the
-    stabilized table: closed relator traces from v up to rotation and
-    reversal.  No cyclically reduced length-4 word is a rotation of its own
-    inverse, so the dihedral canonicalization matches the rotational face
-    signature used by build_ball face for face."""
+    stabilized table: closed relator traces from v, keyed by the table
+    edges they use up to rotation and reversal. A table edge is (x, g) for
+    the step from x along a positive letter g. In a collapsed group two
+    traces can pass the same vertices along different edges; the edge key
+    tells those faces apart, as build_ball's walk key does."""
     seen = set()
     for ri, relator in enumerate(P.relators):
         for word in (relator, inverse_word(relator)):
@@ -163,7 +165,8 @@ def _incident_face_count(P, v, neighbor, find):
                     path.append(nxt)
                 if len(path) != 5 or path[-1] != path[0]:
                     continue
-                cycle = tuple(path[:4])
+                cycle = tuple((x, l) if l > 0 else (y, -l)
+                              for x, y, l in zip(path, path[1:], rot))
                 rev = tuple(reversed(cycle))
                 canon = min(min(cycle[t:] + cycle[:t] for t in range(4)),
                             min(rev[t:] + rev[:t] for t in range(4)))

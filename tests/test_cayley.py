@@ -7,11 +7,9 @@ import pytest
 from squarewalls.cayley import (
     BudgetExhausted,
     CayleyBall,
-    GeodesicsReport,
     WordProblemBudget,
     WordsEqualResult,
     build_ball,
-    geodesics,
     replay_witness,
     words_equal,
 )
@@ -325,35 +323,20 @@ def test_collapsing_ball_finds_its_coincidences():
     assert (len(b.base.vertices), len(b.base.faces)) == (3, 6)
 
 
+def test_ball_of_a_whole_finite_group_is_complete():
+    # the group has 6 elements and the radius-2 ball is all of its Cayley
+    # complex; two of its faces at a vertex can share a vertex cycle and
+    # differ in their edges, which must not make the vertex look incomplete
+    b = build_ball(sample_presentation(3, 0.2, 0), 2)
+    assert (len(b.base.vertices), len(b.base.faces)) == (6, 18)
+    assert all(b.complete.values())
+
+
 def test_trace_word_leaving_ball():
     b = build_ball(TORUS, 1)
     assert b.trace_word(()) == ()
     assert b.trace_word((1,)) == (1,)
     assert b.trace_word((1, 2)) is None
-
-
-def test_geodesic_counts_on_grid():
-    b = build_ball(TORUS, 3)
-    counts = []
-    for v in b.base.vertices:
-        if len(v) == 3:
-            rep = geodesics(b, (), v)
-            assert rep.distance == 3 and not rep.truncated
-            for path in rep.paths:
-                assert len(path) == 3
-            counts.append(len(rep.paths))
-    assert sorted(counts) == [1, 1, 1, 1, 3, 3, 3, 3, 3, 3, 3, 3]
-
-
-def test_geodesics_edge_cases():
-    b = build_ball(TORUS, 3)
-    assert geodesics(b, (), ()) == GeodesicsReport(0, ((),), False)
-    one = geodesics(b, (), (1,))
-    assert one.distance == 1 and one.paths == ((((), 1),),)
-    cut = geodesics(b, (), (1, 1, 2), cap=2)
-    assert cut.truncated and len(cut.paths) == 2
-    with pytest.raises(ValueError):
-        geodesics(b, (), (1, 1, 1, 1))
 
 
 def test_ball_budget_exhausted():

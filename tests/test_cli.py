@@ -312,3 +312,60 @@ def test_tracing_error_reported_not_raised(tmp_path):
                                         "turn pairing undefined")
         assert doc["config"]["command"] == cmd[0]
         assert "walls" not in doc and "rows" not in doc
+
+
+@pytest.mark.parametrize("argv", [
+    ["walls", "--fixture", "z2", "--radius", "0"],
+    ["ball", "--radius", "-1"],
+    ["enumerate", "--faces", "6"],
+    ["scan-iso", "--rank", "2", "--density", "0.25", "--faces", "0"],
+    ["sample", "--rank", "2", "--density", "0"],
+    ["sample", "--rank", "0", "--density", "0.3"],
+    ["fulfill-mc", "--in", "shape.json", "--rank", "2", "--density", "0.25",
+     "--trials", "50"],
+], ids=["walls-radius-0", "ball-radius-negative", "enumerate-faces-6",
+        "scan-iso-faces-0", "sample-density-0", "sample-rank-0",
+        "fulfill-mc-trials-50"])
+def test_bad_values_are_usage_errors(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["fixtures", "--name", "house", "--out", "shape.json"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--out", "out.json"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["walls", "--in", "pres.json"],
+    ["fulfill-mc", "--in", "pres.json", "--rank", "2", "--density", "0.25"],
+    ["ball", "--in", "walls.json", "--radius", "1"],
+    ["ball", "--in", "list.json", "--radius", "1"],
+], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_in_file_of_the_wrong_kind_is_a_usage_error(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["sample", "--rank", "2", "--density", "0.25",
+                "--out", "pres.json"]) == 0
+    assert run(["walls", "--fixture", "annulus", "--out", "walls.json"]) == 0
+    (tmp_path / "list.json").write_text("[1, 2]")
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--out", "out.json"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,written", [
+    (["walls", "--fixture", "z2", "--radius", "2"], ("json", "dot")),
+    (["wall-metric", "--fixture", "z2", "--radius", "2"], ("json", "csv")),
+    (["windows", "--fixture", "z2", "--radius", "11", "--from", "[-5,-5]",
+      "--to", "[6,5]"], ("json",)),
+    (["fixtures", "--name", "house"], ("json",)),
+], ids=["walls", "wall-metric", "windows", "fixtures"])
+def test_format_offers_only_what_the_command_writes(argv, written, tmp_path):
+    for fmt in ("json", "csv", "dot"):
+        out = tmp_path / f"out.{fmt}"
+        if fmt in written:
+            assert run([*argv, "--format", fmt, "--out", str(out)]) == 0
+        else:
+            with pytest.raises(SystemExit) as exc:
+                run([*argv, "--format", fmt, "--out", str(out)])
+            assert exc.value.code == 2
+            assert not out.exists()

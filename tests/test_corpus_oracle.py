@@ -298,14 +298,9 @@ def test_build_quotient_matches_oracle():
         if rng.random() < 0.1:
             a = rng.choice(slots)
             idents.insert(rng.randrange(len(idents) + 1), (a, a, -1))
-        kwargs = {"labels": [rng.randint(1, 3) for _ in range(n)]}
-        if rng.random() < 0.5:
-            kwargs["starts"] = [rng.randrange(4) for _ in range(n)]
-            kwargs["orients"] = [rng.choice((1, -1)) for _ in range(n)]
-            kwargs["colors"] = [rng.choice(("regular", "red", "blue"))
-                                for _ in range(n)]
-        new = build_quotient(n, idents, **kwargs)
-        old = oracle_build_quotient(n, idents, **kwargs)
+        labels = [rng.randint(1, 3) for _ in range(n)]
+        new = build_quotient(n, idents, labels=labels)
+        old = oracle_build_quotient(n, idents, labels=labels)
         assert (new is None) == (old is None)
         if old is None:
             outcomes["none"] += 1

@@ -11,7 +11,6 @@ from collections import deque
 
 import pytest
 
-from squarewalls import cayley
 from squarewalls.cayley import build_ball
 from squarewalls.complexes import SkeletonIndex, SquareComplex, _idkey
 from squarewalls.fixtures import staircase, z2_ball
@@ -140,8 +139,8 @@ def test_index_is_built_once_per_complex(monkeypatch):
     assert check_window_crossing(X, W, gamma).all_pass
     assert check_window_crossing(X, W, gamma).all_pass
     ball = build_ball(TORUS, 3)
-    cayley.geodesics(ball, (), (1, 1, 2))
-    cayley.geodesics(ball, (1,), (1, 1, 2))
+    bfs_geodesic(ball.base, (), (1, 1, 2))
+    bfs_geodesic(ball.base, (1,), (1, 1, 2))
     assert built == [id(X), id(ball.base)]
 
 

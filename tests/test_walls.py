@@ -138,9 +138,6 @@ def test_paint_overlapping_adjacencies_pick_canonical_matching():
     painted = paint(cx)
     assert [(f1, f2) for f1, f2, _ in painted.pairs] == [("F", "G")]
     assert painted.colors == {"F": "red", "G": "blue", "H": "regular"}
-    # handing the overlapping candidates over explicitly is still an error
-    with pytest.raises(PaintingConflict):
-        paint(cx, pairs=pairs)
 
 
 # -- tracing ------------------------------------------------------------------
