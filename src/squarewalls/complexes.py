@@ -12,8 +12,9 @@ The two basic measurements are
 
 where deg(e) counts attaching-walk slots, so a face traversing an edge twice
 contributes 2. Both sums run over every edge of the complex (a bare edge of
-degree 0 contributes +2 and -1 respectively); since sum_e deg(e) = 4|Y| the
-identity bt(Y) = 4|Y| - 2*Cancel(Y) holds unconditionally.
+degree 0 contributes +2 and -1 respectively); since sum_e deg(e) = 4|Y|,
+Cancel(Y) = 4|Y| - |E| and the identity bt(Y) = 4|Y| - 2*Cancel(Y) holds
+unconditionally.
 
 Face reading convention (shared with the fulfillability machinery): a face
 with relator label i, starting slot s and orientation o reads the t-th letter
@@ -273,7 +274,10 @@ def generalized_boundary_length(Y: SquareComplex, face_ids: Iterable | None = No
 
 
 def cancellation(Y: SquareComplex, face_ids: Iterable | None = None) -> int:
-    """sum_e (deg(e) - 1) over the same edge set as generalized_boundary_length."""
+    """sum_e (deg(e) - 1) over the same edge set as generalized_boundary_length.
+    Over the whole complex the degrees sum to 4|Y|, so it is 4|Y| - |E|."""
+    if face_ids is None:
+        return 4 * len(Y.faces) - len(Y.edges)
     deg = Y.degrees(face_ids)
     return sum(d - 1 for d in deg.values())
 
@@ -311,10 +315,13 @@ def slot_table(n_faces: int, idents, base=None):
     return root, sign
 
 
-# (edge id, dir) -> the one Step that build_quotient hands out for it, and
-# prefix -> the id strings it has handed out by index, so the many quotients
-# of an enumeration share their steps and ids
+# What build_quotient hands out, one object per value, so the many quotients
+# of an enumeration share them: (edge id, dir) -> Step, (walk, label) ->
+# Face, vertex count -> the vertex set {u0, u1, ...}, and prefix -> the id
+# strings by index
 _STEPS: dict = {}
+_FACES: dict = {}
+_VERTS: dict = {}
 _IDS: dict = {"e": [], "u": []}
 
 
@@ -344,6 +351,13 @@ def build_quotient(n_faces: int, identifications,
     table = slot_table(n_faces, idents)
     if table is None:
         return None
+    return _quotient(n_faces, idents, table, labels)
+
+
+def _quotient(n_faces: int, idents, table, labels) -> SquareComplex | None:
+    """The complex build_quotient makes from idents, given their slot table
+    (slot_table(n_faces, idents), which must not fold); None when the glued
+    1-skeleton is disconnected."""
     root, sign = table
     corner = list(range(4 * n_faces))
 
@@ -364,6 +378,9 @@ def build_quotient(n_faces: int, identifications,
     edge_id = dict(zip(edge_roots, _ids("e", len(edge_roots))))
     vert_roots = sorted(set(corner))
     vert_id = dict(zip(vert_roots, _ids("u", len(vert_roots))))
+    verts = _VERTS.get(len(vert_roots))
+    if verts is None:
+        verts = _VERTS[len(vert_roots)] = frozenset(vert_id.values())
     edges = {edge_id[r]: (vert_id[corner[r]], vert_id[corner[head(r)]])
              for r in edge_roots}
     faces = {}
@@ -375,9 +392,13 @@ def build_quotient(n_faces: int, identifications,
             if st is None:
                 st = _STEPS[key] = Step(*key)
             walk.append(st)
-        faces[f] = Face(tuple(walk), label=None if labels is None else labels[f])
+        key = (tuple(walk), None if labels is None else labels[f])
+        face = _FACES.get(key)
+        if face is None:
+            face = _FACES[key] = Face(*key)
+        faces[f] = face
     try:
-        return SquareComplex(vert_id.values(), edges, faces)
+        return SquareComplex(verts, edges, faces)
     except ComplexStructureError:
         return None
 

@@ -26,17 +26,26 @@ first face has the least four-code head can reach the minimum, so only those
 are coded in full; the codes do not depend on the labels, so all label
 choices of one gluing share them. Growth builds the parent's table once and
 extends it by the one or two new identifications of each candidate.
+
+A signed partition's table is read straight off its blocks: every slot's
+root is its block's least slot, and its sign the sign chosen for it. A
+gluing's identifications are written out only when it yields a new key, and
+each complete-level class is built from the table its key was read from.
+Growth keeps at most level_cap of its candidates, so it rebuilds the tables
+of those it keeps rather than holding one per candidate.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from .complexes import (
     IsoParams,
+    _quotient,
     build_quotient,
     cancellation,
     check_generalized_iso,
@@ -60,14 +69,11 @@ def _set_partitions(items):
         yield [[first]] + part
 
 
-def _spec_idents(blocks_with_signs):
+def _spec_idents(blocks_with_signs) -> tuple:
     """Chain each signed block into identification tuples for build_quotient."""
-    idents = []
-    for block, signs in blocks_with_signs:
-        root = block[0]
-        for slot, sign in zip(block[1:], signs):
-            idents.append((divmod(root, 4), divmod(slot, 4), sign))
-    return idents
+    return tuple((divmod(block[0], 4), divmod(slot, 4), sign)
+                 for block, signs in blocks_with_signs
+                 for slot, sign in zip(block[1:], signs))
 
 
 # per face count: each face permutation and its slots in reading order
@@ -142,7 +148,8 @@ def _label_strings(n: int):
 
 def _complete_specs(n_faces: int, work=None):
     """All connected fold-free signed slot partitions on n_faces squares,
-    deduplicated; yields (key, idents, labels). Counts into work when given."""
+    deduplicated; yields (key, idents, labels, table), where table is the
+    slot table of idents. Counts into work when given."""
     if work is None:
         work = dict.fromkeys(WORK_COUNTERS, 0)
     label_strings = _label_strings(n_faces)
@@ -152,15 +159,22 @@ def _complete_specs(n_faces: int, work=None):
                 len({s // 4 for s in block}) > 1 for block in part):
             continue  # no cross-face class: quotient is disconnected
         blocks = [sorted(b) for b in part]
-        sign_choices = [[]]
+        root = [0] * (4 * n_faces)
         for b in blocks:
-            sign_choices = [c + [signs] for c in sign_choices
-                            for signs in _sign_tuples(len(b) - 1)]
-        for choice in sign_choices:
-            idents = _spec_idents(list(zip(blocks, choice)))
-            table = slot_table(n_faces, idents)
-            for key, labels in _new_keys(n_faces, table, label_strings, seen, work):
-                yield key, idents, labels
+            for x in b:
+                root[x] = b[0]
+        root = tuple(root)
+        for choice in product(*(_sign_tuples(len(b) - 1) for b in blocks)):
+            sign = [1] * (4 * n_faces)
+            for b, signs in zip(blocks, choice):
+                for x, s in zip(b[1:], signs):
+                    sign[x] = s
+            table = (root, tuple(sign))
+            fresh = _new_keys(n_faces, table, label_strings, seen, work)
+            if fresh:
+                idents = _spec_idents(zip(blocks, choice))
+                for key, labels in fresh:
+                    yield key, idents, labels, table
 
 
 def _new_keys(n_faces: int, table, label_choices, seen: set, work: dict) -> list:
@@ -203,6 +217,8 @@ class EnumerationCursor:
                  level_cap: int = 2500):
         if not 1 <= max_faces <= MAX_FACES:
             raise ValueError(f"max_faces must be in 1..{MAX_FACES}")
+        if parent_cap < 0 or level_cap < 0:
+            raise ValueError("parent_cap and level_cap must be >= 0")
         self.max_faces = max_faces
         self.parent_cap = parent_cap
         self.level_cap = level_cap
@@ -218,8 +234,8 @@ class EnumerationCursor:
             if n > self.max_faces:
                 break
             levels[n] = []
-            for key, idents, labels in sorted(_complete_specs(n, work)):
-                cx = build_quotient(n, idents, labels=list(labels))
+            for key, idents, labels, table in sorted(_complete_specs(n, work)):
+                cx = _quotient(n, idents, table, labels)
                 if cx is None:
                     work["disconnected"] += 1
                     continue
@@ -228,9 +244,10 @@ class EnumerationCursor:
                 work["classes"] += 1
                 yield AbstractComplex.wrap(cx)
         for n in range(3, self.max_faces + 1):
-            pool = sorted(levels.get(n - 1, []), key=lambda t: (-t[2], t[0], t[1]))
-            parents = pool[:self.parent_cap]
-            if len(pool) > len(parents):
+            pool = levels.get(n - 1, [])
+            parents = heapq.nsmallest(self.parent_cap, pool,
+                                      key=lambda t: (-t[2], t[0], t[1]))
+            if len(pool) > self.parent_cap:
                 self.truncated = True
             grown = []
             for idents, labels, _c in parents:
@@ -275,7 +292,7 @@ def _attachments(n: int, idents, labels, seen: set, work: dict):
                     table = joined if second is None else slot_table(n, [second], joined)
                     fresh = _new_keys(n, table, label_choices, seen, work)
                     if fresh:
-                        cand = list(idents) + [first] + ([second] if second else [])
+                        cand = idents + ((first, second) if second else (first,))
                         can = 4 * n - len(set(table[0]))
                         out.extend((key, cand, labs, can) for key, labs in fresh)
     return out

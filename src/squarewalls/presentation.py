@@ -193,6 +193,8 @@ class Presentation:
         for w in self.relators:
             if len(w) != RELATOR_LENGTH or not is_cyclically_reduced(w):
                 raise ValueError(f"relator {w} is not cyclically reduced of length 4")
+            if not all(1 <= abs(l) <= self.rank for l in w):
+                raise ValueError(f"relator {w} has a letter outside rank {self.rank}")
         if len(set(self.relators)) != len(self.relators):
             raise ValueError("relators must be distinct")
 

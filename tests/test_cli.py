@@ -263,6 +263,9 @@ def test_dot_output(tmp_path):
 
 
 def test_usage_errors(tmp_path):
+    rank1 = tmp_path / "rank1.json"  # a relator letter beyond the rank
+    rank1.write_text(json.dumps({"rank": 1, "density": 0.1, "seed": 0,
+                                 "relators": [["a1", "a2", "a1^-1", "a2^-1"]]}))
     for argv in (
         ["no-such-command"],
         ["walls"],  # neither --in nor --fixture
@@ -270,6 +273,9 @@ def test_usage_errors(tmp_path):
         ["walls", "--fixture", "z2", "--kinds", "purple"],
         ["fixtures", "--name", "nosuch"],
         ["ball", "--in", str(tmp_path / "missing.json"), "--radius", "1"],
+        ["ball", "--in", str(rank1), "--radius", "1"],
+        ["enumerate", "--faces", "3", "--parent-cap", "-74576", "--level-cap", "-1"],
+        ["enumerate", "--faces", "3", "--level-cap", "-1"],
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from squarewalls import fixtures
+from squarewalls.cayley import build_ball
 from squarewalls.complexes import (
     ComplexStructureError,
     Diagram,
@@ -18,6 +20,7 @@ from squarewalls.complexes import (
     shared_edge_pairs,
     slot_table,
 )
+from squarewalls.presentation import sample_presentation
 
 
 def named_complexes():
@@ -136,6 +139,36 @@ def test_quotients_share_their_id_strings():
     in_b = {x: x for x in b.vertices | set(b.edges)}
     for x in a.vertices | set(a.edges):
         assert in_b[x] is x
+
+
+def test_quotients_share_frozen_faces():
+    # two squares glued slot by slot the same way have equal walks: with
+    # equal labels one Face object serves both, across quotients too
+    glue = [((0, j), (1, j), 1) for j in range(4)]
+    a = build_quotient(2, glue, labels=[1, 1])
+    b = build_quotient(2, glue, labels=[1, 1])
+    assert a.faces[0] is a.faces[1] is b.faces[0] is b.faces[1]
+    assert a.vertices is b.vertices
+    c = build_quotient(2, glue, labels=[1, 2])
+    assert c.faces[0] is a.faces[0]
+    assert c.faces[1] is not a.faces[1]
+    assert c.faces[1] == Face(a.faces[0].walk, label=2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.faces[0].label = 2
+    assert a.faces[0].label == b.faces[1].label == 1
+
+
+def test_cancellation_closed_form_on_fixtures_and_a_sampled_ball():
+    # Cancel(Y) = 4|Y| - |E| against the per-edge degree sum, bare edges
+    # (degree 0) included
+    complexes = [cx for _name, cx in named_complexes()]
+    complexes += [D.complex for _name, D in fixtures.planar_fixtures()]
+    complexes += [fixtures.make_fixture(name) for name in fixtures.REGISTRY]
+    ball = build_ball(sample_presentation(4, 0.15, 3), 2).base
+    assert ball.faces and 0 in ball.degrees().values()
+    complexes.append(ball)
+    for cx in complexes:
+        assert cancellation(cx) == sum(d - 1 for d in cx.degrees().values())
 
 
 def test_build_quotient_fold_rejected():

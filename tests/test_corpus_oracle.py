@@ -265,7 +265,7 @@ def test_keys_equal_and_sort_as_oracle_keys():
     rng = random.Random(7)
     pairs = []
     for n in (1, 2):
-        for _key, idents, labels in _complete_specs(n):
+        for _key, idents, labels, _table in _complete_specs(n):
             specs = [(idents, list(labels))]
             perm = list(range(n))
             rng.shuffle(perm)

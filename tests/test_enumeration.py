@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -14,14 +14,21 @@ from squarewalls.enumeration import (
     random_labeled_complex,
     scan_local_iso,
 )
-from squarewalls import fulfill
+from squarewalls import enumeration, fulfill
 from squarewalls.fulfill import AbstractComplex, check_assignment, fulfill_search
 from squarewalls.presentation import sample_presentation
 
 
 @pytest.fixture(scope="module")
-def k2_classes():
-    return list(enumerate_abstract_complexes(2))
+def local_iso_corpus():
+    """The capped 3-face corpus that the local-iso benchmark scans."""
+    return list(EnumerationCursor(3, parent_cap=10, level_cap=200))
+
+
+@pytest.fixture(scope="module")
+def k2_classes(local_iso_corpus):
+    """The complete K <= 2 enumeration: the corpus below its growth level."""
+    return [Y for Y in local_iso_corpus if len(Y.base.faces) <= 2]
 
 
 # -- one-face oracle: subsets of slot gluings, classified by explicit iso -----
@@ -84,6 +91,10 @@ def test_cursor_rejects_bad_sizes():
         EnumerationCursor(0)
     with pytest.raises(ValueError):
         EnumerationCursor(6)
+    for caps in ({"parent_cap": -1}, {"level_cap": -1},
+                 {"parent_cap": -74576, "level_cap": -1}):
+        with pytest.raises(ValueError):
+            EnumerationCursor(3, **caps)
 
 
 # -- canonical key invariance ---------------------------------------------------
@@ -149,6 +160,42 @@ def test_two_face_class_counts(k2_classes):
     counts = Counter((len(Y.base.faces), Y.n_labels) for Y in k2_classes)
     assert counts == {(1, 1): 49, (2, 1): 37264, (2, 2): 37264}
     assert len(k2_classes) == 74577
+
+
+def test_cancellation_closed_form_on_local_iso_corpus(local_iso_corpus):
+    assert len(local_iso_corpus) == 49 + 74528 + 200
+    for Y in local_iso_corpus:
+        assert cancellation(Y.base) == sum(d - 1 for d in Y.base.degrees().values())
+
+
+def test_parents_are_the_head_of_the_sorted_pool(monkeypatch):
+    """Growth takes as parents the first parent_cap classes of the level
+    below sorted by (-cancellation, idents, labels), and is truncated exactly
+    when that level holds more. The 2-face level is cut to 400 real specs
+    (cancellation 6 and 7, each gluing with two labelings) and growth
+    records its parents instead of attaching faces."""
+    specs = {1: list(enumeration._complete_specs(1)),
+             2: list(islice(enumeration._complete_specs(2), 400))}
+    pool = [(idents, labels, cancellation(build_quotient(2, idents, list(labels))))
+            for _key, idents, labels, _table in specs[2]]
+    ordered = [(idents, labels) for idents, labels, _c
+               in sorted(pool, key=lambda t: (-t[2], t[0], t[1]))]
+    assert len({c for *_, c in pool}) > 1
+    assert len({idents for idents, _l, _c in pool}) < len(pool)
+    grown = []
+
+    def record(n, idents, labels, seen, work):
+        grown.append((idents, labels))
+        return []
+
+    monkeypatch.setattr(enumeration, "_complete_specs", lambda n, work: specs[n])
+    monkeypatch.setattr(enumeration, "_attachments", record)
+    for cap in (0, 1, len(pool), len(pool) + 1):
+        grown.clear()
+        cursor = EnumerationCursor(3, parent_cap=cap)
+        assert sum(1 for _ in cursor) == 49 + len(pool)
+        assert grown == ordered[:cap]
+        assert cursor.truncated == (len(pool) > cap)
 
 
 def test_multiplicities_sum_to_size(k2_classes):

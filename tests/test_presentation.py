@@ -192,6 +192,9 @@ def test_presentation_validation():
         Presentation(rank=2, density=0.3, seed=0, relators=((1, -1, 1, 1),))
     with pytest.raises(ValueError):
         Presentation(rank=2, density=0.3, seed=0, relators=((1, 1, 1, 1), (1, 1, 1, 1)))
+    for rank, w in ((1, (1, 2, -1, -2)), (2, (1, 3, 1, 3)), (2, (1, 0, 1, 1))):
+        with pytest.raises(ValueError):
+            Presentation(rank=rank, density=0.3, seed=0, relators=(w,))
 
 
 def test_alphabet_order():
