@@ -291,13 +291,14 @@ def slot_table(n_faces: int, idents, base=None):
     idents are ((f, j), (g, k), sign) as for build_quotient. A union keeps
     the root of the first-named slot and relabels every slot of the second
     slot's class directly, so no lookup ever follows a parent chain. base, a
-    table of the same n_faces, is extended on a copy and never changed.
+    table of the same n_faces (lists or tuples), is extended on a list copy
+    and never changed.
     Returns None when an identification folds an edge onto itself reversed.
     """
     if base is None:
         root, sign = list(range(4 * n_faces)), [1] * (4 * n_faces)
     else:
-        root, sign = base[0][:], base[1][:]
+        root, sign = list(base[0]), list(base[1])
     for (f, j), (g, k), s in idents:
         if s not in (1, -1):
             raise ValueError("identification sign must be +1 or -1")
@@ -355,8 +356,9 @@ def build_quotient(n_faces: int, identifications,
 
 
 def _quotient(n_faces: int, idents, table, labels) -> SquareComplex | None:
-    """The complex build_quotient makes from idents, given their slot table
-    (slot_table(n_faces, idents), which must not fold); None when the glued
+    """The complex build_quotient makes from idents, given their slot table:
+    the (root, sign) pair that slot_table(n_faces, idents) returns, as lists
+    or tuples, which must not fold and is only read. None when the glued
     1-skeleton is disconnected."""
     root, sign = table
     corner = list(range(4 * n_faces))

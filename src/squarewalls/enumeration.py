@@ -149,7 +149,8 @@ def _label_strings(n: int):
 def _complete_specs(n_faces: int, work=None):
     """All connected fold-free signed slot partitions on n_faces squares,
     deduplicated; yields (key, idents, labels, table), where table is the
-    slot table of idents. Counts into work when given."""
+    slot table of idents as a pair of tuples, shared by every labeling of
+    one gluing and only read. Counts into work when given."""
     if work is None:
         work = dict.fromkeys(WORK_COUNTERS, 0)
     label_strings = _label_strings(n_faces)

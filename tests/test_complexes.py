@@ -196,6 +196,8 @@ def test_slot_table_first_named_root_wins_and_base_is_kept():
     grown = slot_table(2, [((1, 1), (0, 2), 1)], base)
     assert grown == ([0, 1, 0, 3, 4, 0, 6, 7], [1, 1, -1, 1, 1, -1, 1, 1])
     assert base == ([0, 1, 2, 3, 4, 0, 6, 7], [1, 1, 1, 1, 1, -1, 1, 1])
+    # a base of tuples, as enumeration hands tables on, extends the same way
+    assert slot_table(2, [((1, 1), (0, 2), 1)], tuple(map(tuple, base))) == grown
     # slot 0 against slot 2: same class, now with a contradicting sign
     assert slot_table(2, [((0, 0), (0, 2), 1)], grown) is None
     assert slot_table(2, [((0, 0), (0, 2), -1)], grown) == grown

@@ -26,9 +26,8 @@ def local_iso_corpus():
 
 
 @pytest.fixture(scope="module")
-def k2_classes(local_iso_corpus):
-    """The complete K <= 2 enumeration: the corpus below its growth level."""
-    return [Y for Y in local_iso_corpus if len(Y.base.faces) <= 2]
+def k2_classes():
+    return list(enumerate_abstract_complexes(2))
 
 
 # -- one-face oracle: subsets of slot gluings, classified by explicit iso -----
@@ -160,6 +159,17 @@ def test_two_face_class_counts(k2_classes):
     counts = Counter((len(Y.base.faces), Y.n_labels) for Y in k2_classes)
     assert counts == {(1, 1): 49, (2, 1): 37264, (2, 2): 37264}
     assert len(k2_classes) == 74577
+
+
+def test_capped_corpus_begins_with_the_complete_levels(k2_classes, local_iso_corpus):
+    # growth only appends: the capped corpus repeats the K <= 2 enumeration
+    # class for class, then holds level_cap 3-face classes
+    n = len(k2_classes)
+    for Y, Z in zip(local_iso_corpus[:n], k2_classes):
+        assert Y.n_labels == Z.n_labels
+        assert Y.base.edges == Z.base.edges
+        assert Y.base.faces == Z.base.faces
+    assert [len(Y.base.faces) for Y in local_iso_corpus[n:]] == [3] * 200
 
 
 def test_cancellation_closed_form_on_local_iso_corpus(local_iso_corpus):
