@@ -16,7 +16,7 @@ number of vertices created. Each new edge (x, g) goes on a deduction stack,
 which is drained at once: a pop scans from x the relator variants that begin
 with g, completes a path missing a single edge, and merges the endpoints of
 a closed path that disagree, through a union-find that keeps the smaller id.
-Edges a merge moves onto the surviving vertex are pushed in turn. Distances
+Edges a merge carries onto the surviving vertex are pushed in turn. Distances
 are recomputed once per growth round, and the stabilized table is restricted
 to the requested radius.
 
@@ -53,25 +53,28 @@ class BudgetExhausted(RuntimeError):
     pass
 
 
+# the epsilon of the isoperimetric inequality behind the area cap
+AREA_EPS = 0.05
+
+
 @dataclass(frozen=True)
 class WordProblemBudget:
     """hard_cap bounds the words words_equal stores below its area cap and
     the vertices build_ball creates."""
 
-    epsilon0: float = 0.05
     hard_cap: int = 1_000_000
 
     def area_cap(self, boundary_length: int, density: float) -> int:
         """Faces a minimal diagram with this boundary can have."""
-        denom = 4.0 * (1.0 - 2.0 * density - self.epsilon0)
+        denom = 4.0 * (1.0 - 2.0 * density - AREA_EPS)
         if denom <= 0:
-            raise ValueError("density + epsilon0 must stay below 1/2")
+            raise ValueError(f"density + {AREA_EPS} must stay below 1/2")
         return math.ceil(boundary_length / denom)
 
 
-def _check_budget(P: Presentation, budget: WordProblemBudget):
-    if P.density + budget.epsilon0 >= 0.5:
-        raise ValueError("density + epsilon0 must stay below 1/2")
+def _check_density(P: Presentation):
+    if P.density + AREA_EPS >= 0.5:
+        raise ValueError(f"density + {AREA_EPS} must stay below 1/2")
 
 
 def _relator_variants(P: Presentation) -> tuple:
@@ -157,7 +160,7 @@ def words_equal(P: Presentation, u, v,
     the cap.
     """
     budget = budget or WordProblemBudget()
-    _check_budget(P, budget)
+    _check_density(P)
     u, v = tuple(u), tuple(v)
     if not is_reduced(u) or not is_reduced(v):
         raise ValueError("words must be reduced")
@@ -220,9 +223,12 @@ class CayleyBall:
 
     Vertex ids are the canonical shortlex-geodesic representative words; edge
     (w, a) runs from w to w·a for a positive letter a; faces are numbered and
-    read a cyclic rotation of their relator. work holds build_ball's
-    deterministic counts (cosets_defined, coincidences, relator_scans); it is
-    not part of to_json.
+    read a cyclic rotation of their relator. complete maps each vertex to its
+    completeness flag. work holds build_ball's deterministic counts
+    (cosets_defined, coincidences, relator_scans); it is not part of
+    to_json. The ball keeps no move table of its own: a word is read through
+    the ball by following base.edges, since edge (w, a) is the a-move at w
+    and, reversed, the a⁻¹-move at w·a.
     """
 
     def __init__(self, base: SquareComplex, radius: int,
@@ -232,20 +238,6 @@ class CayleyBall:
         self.presentation = presentation
         self.complete = complete
         self.work = work
-        self.moves: dict = {}
-        for (_, a), (src, dst) in self.base.edges.items():
-            self.moves[(src, a)] = dst
-            self.moves[(dst, -a)] = src
-
-    def trace_word(self, word):
-        """Vertex reached reading the word from the origin, None if the path
-        leaves the ball."""
-        x = ()
-        for l in word:
-            x = self.moves.get((x, l))
-            if x is None:
-                return None
-        return x
 
     def to_json(self) -> str:
         doc = json.loads(self.base.to_json())
@@ -263,7 +255,7 @@ def build_ball(P: Presentation, r: int,
     if r < 0:
         raise ValueError("radius must be >= 0")
     budget = budget or WordProblemBudget()
-    _check_budget(P, budget)
+    _check_density(P)
     gens = sorted(alphabet(P.rank), key=letter_key)
     by_first: dict = {g: [] for g in gens}
     for var in _relator_variants(P):

@@ -291,10 +291,16 @@ def _cmd_windows(args, parser) -> int:
         y = _id_in(json.loads(args.dst))
     except json.JSONDecodeError as exc:
         parser.error(f"--from/--to must be JSON vertex ids: {exc}")
+    for flag, v in (("--from", x), ("--to", y)):
+        try:
+            known = v in X.vertices
+        except TypeError:  # unhashable, as a JSON object is
+            known = False
+        if not known:
+            parser.error(f"{flag}: unknown vertex {_vertex_token(v)}")
     try:
-        _d, gamma = bfs_geodesic(X, x, y)
-        report = check_window_crossing(X, W, gamma)
-    except (KeyError, ValueError) as exc:
+        report = check_window_crossing(X, W, bfs_geodesic(X, x, y)[1])
+    except ValueError as exc:
         parser.error(str(exc))
     doc = _envelope(args)
     doc["geodesic_length"] = report.geodesic_length

@@ -12,9 +12,13 @@ The two basic measurements are
 
 where deg(e) counts attaching-walk slots, so a face traversing an edge twice
 contributes 2. Both sums run over every edge of the complex (a bare edge of
-degree 0 contributes +2 and -1 respectively); since sum_e deg(e) = 4|Y|,
-Cancel(Y) = 4|Y| - |E| and the identity bt(Y) = 4|Y| - 2*Cancel(Y) holds
-unconditionally.
+degree 0 contributes +2 and -1 respectively). Since sum_e deg(e) = 4|Y|,
+over the whole complex both are closed forms, bt(Y) = 2|E| - 4|Y| and
+Cancel(Y) = 4|Y| - |E|, and the identity bt(Y) = 4|Y| - 2*Cancel(Y) holds
+unconditionally. Only a face subset needs the per-edge degrees.
+
+Every SquareComplex is validated on construction, so its 1-skeleton is
+connected and every vertex is reachable from every other.
 
 Face reading convention (shared with the fulfillability machinery): a face
 with relator label i, starting slot s and orientation o reads the t-th letter
@@ -29,8 +33,6 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, NamedTuple
-
-VALID_COLORS = ("regular", "red", "blue")
 
 
 class ComplexStructureError(ValueError):
@@ -53,7 +55,6 @@ class Face:
     label: int | None = None
     start: int = 0
     orient: int = 1
-    color: str = "regular"
 
     def __post_init__(self):
         if len(self.walk) != 4:
@@ -65,8 +66,6 @@ class Face:
             raise ComplexStructureError("start slot must be in 0..3")
         if self.orient not in (1, -1):
             raise ComplexStructureError("orientation must be +1 or -1")
-        if self.color not in VALID_COLORS:
-            raise ComplexStructureError(f"bad color {self.color!r}")
 
     def position_of_slot(self, j: int) -> int:
         """Relator position read at walk slot j."""
@@ -81,14 +80,11 @@ class SquareComplex:
     faces: dict face_id -> Face
     """
 
-    def __init__(self, vertices: Iterable[Hashable], edges: dict, faces: dict,
-                 check: bool = True):
+    def __init__(self, vertices: Iterable[Hashable], edges: dict, faces: dict):
         self.vertices = frozenset(vertices)
         self.edges = dict(edges)
         self.faces = dict(faces)
-        self._degrees: Counter | None = None
-        if check:
-            self._validate()
+        self._validate()
 
     # -- validation ---------------------------------------------------------
 
@@ -139,19 +135,15 @@ class SquareComplex:
     # -- measurements -------------------------------------------------------
 
     def degrees(self, face_ids: Iterable | None = None) -> Counter:
-        """Slot-occurrence count per edge. Restricting to face_ids counts only
-        those faces' slots and only reports edges they touch."""
+        """Slot-occurrence count per edge, counted afresh on every call. Over
+        the whole complex every edge is reported, bare edges with 0;
+        restricting to face_ids counts only those faces' slots and only
+        reports edges they touch."""
         if face_ids is None:
-            if self._degrees is None:
-                deg = Counter()
-                for e in self.edges:
-                    deg[e] = 0
-                for f in self.faces.values():
-                    for st in f.walk:
-                        deg[st.edge] += 1
-                self._degrees = deg
-            return self._degrees
-        deg = Counter()
+            deg = Counter(dict.fromkeys(self.edges, 0))
+            face_ids = self.faces
+        else:
+            deg = Counter()
         for fid in face_ids:
             for st in self.faces[fid].walk:
                 deg[st.edge] += 1
@@ -182,7 +174,7 @@ class SquareComplex:
                     "label": f.label,
                     "start": f.start,
                     "orient": f.orient,
-                    "color": f.color,
+                    "color": "regular",
                 }
             )
         return json.dumps(
@@ -197,13 +189,14 @@ class SquareComplex:
         edges = {_id_in(e["id"]): (_id_in(e["src"]), _id_in(e["dst"])) for e in d["edges"]}
         faces = {}
         for fd in d["faces"]:
+            if fd.get("color", "regular") != "regular":
+                raise ComplexStructureError(f"bad color {fd['color']!r}")
             walk = tuple(Step(_id_in(sd["edge"]), sd["dir"]) for sd in fd["walk"])
             faces[_id_in(fd["id"])] = Face(
                 walk=walk,
                 label=fd.get("label"),
                 start=fd.get("start", 0),
                 orient=fd.get("orient", 1),
-                color=fd.get("color", "regular"),
             )
         return cls(vertices, edges, faces)
 
@@ -264,11 +257,14 @@ def _idkey(x) -> tuple:
 
 
 def generalized_boundary_length(Y: SquareComplex, face_ids: Iterable | None = None) -> int:
-    """sum_e (2 - deg(e)); may be negative, returned as-is.
+    """sum_e (2 - deg(e)); may be negative, returned as-is. Over the whole
+    complex the degrees sum to 4|Y|, so it is 2|E| - 4|Y|.
 
     With face_ids given, the measurement is of the subcomplex spanned by those
     faces (only edges they touch are counted).
     """
+    if face_ids is None:
+        return 2 * len(Y.edges) - 4 * len(Y.faces)
     deg = Y.degrees(face_ids)
     return sum(2 - d for d in deg.values())
 
@@ -428,10 +424,6 @@ class Diagram:
     def boundary_length(self) -> int:
         return len(self.boundary)
 
-    @property
-    def face_count(self) -> int:
-        return len(self.complex.faces)
-
 
 @dataclass(frozen=True)
 class IsoParams:
@@ -444,14 +436,6 @@ class IsoParams:
 
 
 @dataclass(frozen=True)
-class IsoReport:
-    passed: bool
-    boundary_length: int
-    face_count: int
-    threshold: float
-
-
-@dataclass(frozen=True)
 class GenIsoReport:
     violation: bool
     cancel: int
@@ -460,17 +444,6 @@ class GenIsoReport:
     boundary_threshold: float
     boundary_form_pass: bool
     face_count: int
-
-
-def check_isoperimetric(D: Diagram, p: IsoParams) -> IsoReport:
-    """Planar form: pass iff |dD| >= 4(1-2d-eps)|D|."""
-    rhs = 4 * (1 - 2 * p.d - p.eps) * D.face_count
-    return IsoReport(
-        passed=D.boundary_length >= rhs,
-        boundary_length=D.boundary_length,
-        face_count=D.face_count,
-        threshold=rhs,
-    )
 
 
 def check_generalized_iso(Y: SquareComplex, p: IsoParams,

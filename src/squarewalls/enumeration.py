@@ -299,16 +299,11 @@ def _attachments(n: int, idents, labels, seen: set, work: dict):
     return out
 
 
-def enumerate_abstract_complexes(K: int, **caps):
-    """Stream the enumeration at max_faces K (complete for K <= 2)."""
-    yield from EnumerationCursor(K, **caps)
-
-
-def random_labeled_complex(seed: int, max_faces: int = 4) -> AbstractComplex | None:
-    """Seeded random quotient with contiguous labels; None when the draw
-    folds or disconnects."""
+def random_labeled_complex(seed: int) -> AbstractComplex | None:
+    """Seeded random quotient of 1 to 4 faces with contiguous labels; None
+    when the draw folds or disconnects."""
     rng = random.Random(seed)
-    n = rng.randint(1, max_faces)
+    n = rng.randint(1, 4)
     slots = [(f, j) for f in range(n) for j in range(4)]
     idents = []
     for _ in range(rng.randint(max(0, n - 1), 2 * n)):
@@ -344,19 +339,19 @@ class IsoViolation:
         }, sort_keys=True)
 
 
-def scan_local_iso(R: list[Word], K: int, p: IsoParams, classes=None,
-                   **caps) -> list[IsoViolation]:
+def scan_local_iso(R: list[Word], K: int, p: IsoParams,
+                   classes=None) -> list[IsoViolation]:
     """Every enumerated complex fulfillable by R whose cancellation exceeds
     4(d+eps)|Y|, with its word assignment witness.
 
-    A pre-enumerated class list can be supplied to amortize the enumeration
-    across scans. Each class keeps its cancellation and its compiled fulfill
-    constraints once computed (AbstractComplex.cancel, .constraints), so the
-    first scan over a list pays for compiling its above-threshold classes
-    and every later scan, for any R, reuses them."""
+    The classes are those of EnumerationCursor(K) unless a pre-enumerated
+    class list is supplied to amortize the enumeration across scans. Each
+    class keeps its cancellation and its compiled fulfill constraints once
+    computed (AbstractComplex.cancel, .constraints), so the first scan over a
+    list pays for compiling its above-threshold classes and every later
+    scan, for any R, reuses them."""
     out = []
-    for Y in (classes if classes is not None
-              else enumerate_abstract_complexes(K, **caps)):
+    for Y in classes if classes is not None else EnumerationCursor(K):
         size = len(Y.base.faces)
         threshold = 4 * (p.d + p.eps) * size
         can = Y.cancel

@@ -50,6 +50,7 @@ class InfeasibleError(RuntimeError):
 
 
 ENUMERATION_GUARD = 10_000_000  # largest word-tuple space the exact counts enumerate
+SUBSET_GUARD = 2_000_000  # most relator subsets the exact set-level count enumerates
 
 
 @dataclass(frozen=True)
@@ -324,8 +325,7 @@ class SetFulfillReport:
     feasible_tuples: int
 
 
-def exact_set_fulfill_probability(Y: AbstractComplex, m: int, d: float,
-                                  max_subsets: int = 2_000_000) -> SetFulfillReport:
+def exact_set_fulfill_probability(Y: AbstractComplex, m: int, d: float) -> SetFulfillReport:
     """Exact probability that a uniformly random r-subset of the length-4
     cyclically reduced pool (r = relator count at density d) admits some
     label assignment fulfilling Y.
@@ -340,7 +340,7 @@ def exact_set_fulfill_probability(Y: AbstractComplex, m: int, d: float,
     if pool ** n > ENUMERATION_GUARD:
         raise InfeasibleError("feasible-tuple table too large")
     total = math.comb(pool, r)
-    if n > 1 and total > max_subsets:
+    if n > 1 and total > SUBSET_GUARD:
         raise InfeasibleError(f"{total} subsets exceed the enumeration budget")
     table = Y.constraints
     feasible = set() if table is None else {
@@ -369,7 +369,9 @@ def exact_set_fulfill_probability(Y: AbstractComplex, m: int, d: float,
     return SetFulfillReport(hits / total, r, "subset-enumeration", len(feasible))
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """The 95% Wilson score interval of successes/trials."""
+    z = 1.96
     if trials == 0:
         return 0.0, 1.0
     phat = successes / trials

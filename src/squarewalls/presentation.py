@@ -102,12 +102,13 @@ def w_count(n: int) -> int:
     return m**4 + m
 
 
-def enumerate_cyclically_reduced(n: int, length: int = RELATOR_LENGTH) -> list[Word]:
-    """All cyclically reduced words of the given length, canonically sorted:
-    the product over the canonically ordered alphabet already yields that
-    order."""
+def enumerate_cyclically_reduced(n: int) -> list[Word]:
+    """The pool W_n: all cyclically reduced words of length 4, canonically
+    sorted, which the product over the canonically ordered alphabet already
+    yields."""
     letters = alphabet(n)
-    return [w for w in itertools.product(letters, repeat=length) if is_cyclically_reduced(w)]
+    return [w for w in itertools.product(letters, repeat=RELATOR_LENGTH)
+            if is_cyclically_reduced(w)]
 
 
 class CyclicallyReducedPool(Sequence):

@@ -9,7 +9,10 @@ shared edge with the adjacent non-shared edge that is not opposite to it.
 This module paints strongly adjacent pairs, traces hypergraphs of all three
 kinds, tests embeddedness (tree-ness), extracts collared diagrams from
 non-tree witnesses, computes complement side maps and the wall pseudometric,
-and checks the distance lower bound and geodesic windows.
+and checks the distance lower bound and geodesic windows. Paths are given
+as sequences of edge ids, and vertices by their ids in the complex; since
+every complex is connected, an id the complex lacks is the only way a
+distance lookup can fail (KeyError).
 """
 
 from __future__ import annotations
@@ -365,7 +368,10 @@ class ComplementReport:
 def complement_components(X: SquareComplex, H: Hypergraph) -> ComplementReport:
     """Components of the vertex graph with the wall's dual edges removed.
     boundary_open records whether the wall meets the complex boundary (a dual
-    edge lying on fewer than two faces)."""
+    edge of degree below two). It is read off the wall's own segments: every
+    face slot ends exactly one segment under every kind, and all segments at
+    an edge lie in its wall, so an edge's endpoint count in H.edges is its
+    degree."""
     idx = X.skeleton
     side = [-1] * len(idx.vertices)
     count = 0
@@ -381,8 +387,8 @@ def complement_components(X: SquareComplex, H: Hypergraph) -> ComplementReport:
                     side[y] = count
                     stack.append(y)
         count += 1
-    deg = X.degrees()
-    boundary_open = any(deg[e] < 2 for e in H.vertices)
+    ends = Counter(x for seg in H.edges for x in seg[:2])
+    boundary_open = any(c < 2 for c in ends.values())
     return ComplementReport(count, dict(zip(idx.vertices, side)), boundary_open)
 
 
@@ -418,8 +424,9 @@ def wall_distance(W: WallDecomposition, x, y) -> int:
 
 class BFSTree(Mapping):
     """Breadth-first tree of the 1-skeleton from one source, over the
-    complex's canonical index: maps every reachable vertex to its edge
-    distance and yields the deterministic geodesic to it."""
+    complex's canonical index: maps every vertex to its edge distance and
+    yields the deterministic geodesic to it. Every complex is connected, so
+    every vertex is reached; an id not in the complex raises KeyError."""
 
     def __init__(self, X: SquareComplex, source):
         self.source = source
@@ -427,22 +434,17 @@ class BFSTree(Mapping):
         self._dist, self._via = self._index.bfs(self._index.position[source])
 
     def __getitem__(self, v) -> int:
-        d = self._dist[self._index.position[v]]
-        if d < 0:
-            raise KeyError(v)
-        return d
+        return self._dist[self._index.position[v]]
 
     def __iter__(self):
-        return (v for v, d in zip(self._index.vertices, self._dist) if d >= 0)
+        return iter(self._index.vertices)
 
     def __len__(self) -> int:
-        return sum(d >= 0 for d in self._dist)
+        return len(self._index.vertices)
 
     def geodesic(self, y):
         """(distance, edge ids of the deterministic shortest path to y)."""
-        i = self._index.position.get(y)
-        if i is None or self._dist[i] < 0:
-            raise ValueError("vertices are not connected")
+        i = self._index.position[y]
         path = []
         while self._via[i] is not None:
             i, eid = self._via[i]
@@ -493,9 +495,7 @@ def check_wall_lower_bound(W: WallDecomposition, X: SquareComplex,
     for x, y in pairs:
         if tree is None or tree.source != x:
             tree = bfs_distances(X, x)
-        d_edge = tree.get(y)
-        if d_edge is None:
-            raise ValueError("vertices are not connected")
+        d_edge = tree[y]
         d_wall = wall_distance(W, x, y)
         bound = d_edge // 15
         if d_wall >= bound:
@@ -512,11 +512,6 @@ def check_wall_lower_bound(W: WallDecomposition, X: SquareComplex,
 
 WINDOW = 15
 MIN_GEODESIC = 21
-
-
-def _edge_ids(gamma) -> list:
-    """Accept a path given as Steps or as raw edge ids."""
-    return [st.edge if hasattr(st, "edge") else st for st in gamma]
 
 
 def _chain_vertices(X: SquareComplex, edge_path):
@@ -556,15 +551,14 @@ class WindowReport:
 
 def check_window_crossing(X: SquareComplex, W: WallDecomposition,
                           gamma) -> WindowReport:
-    """For every window of 15 consecutive geodesic edges: does some wall
-    cross the geodesic exactly once, at an edge of that window? Failures
-    become indeterminate when a wall crossing the window lacks a two-sided
-    complement."""
-    gamma = _edge_ids(gamma)
+    """For every window of 15 consecutive geodesic edges of gamma, a
+    sequence of edge ids: does some wall cross the geodesic exactly once, at
+    an edge of that window? Failures become indeterminate when a wall
+    crossing the window lacks a two-sided complement."""
     if len(gamma) < MIN_GEODESIC:
         raise ValueError(f"geodesic must have at least {MIN_GEODESIC} edges")
     verts = _chain_vertices(X, gamma)
-    if bfs_distances(X, verts[0]).get(verts[-1]) != len(gamma):
+    if bfs_distances(X, verts[0])[verts[-1]] != len(gamma):
         raise ValueError("path is not a geodesic")
     gset = set(gamma)
     single = []  # (crossing edge, wall index) for walls crossing exactly once

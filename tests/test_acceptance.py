@@ -6,10 +6,10 @@ terminal summary) of the form
     ACCEPTANCE <nn> <PASS|FAIL> <name>: <measured numbers>; <time> / budget <T>
 
 Criteria whose statistical or tolerance targets are unattainable at this scale
-stay red: they print their witnesses and xfail, never silently pass. The two
-module-scope corpora (the complete 2-face enumeration and the per-shape
-fulfill sweep) are shared between criteria 1, 8 and 9; their build times are
-printed in the verdict lines that rely on them.
+stay red: they print their witnesses and xfail, never silently pass. The
+complete 2-face enumeration (built once per session, tests/conftest.py) and
+the module-scope per-shape fulfill sweep are shared between criteria 1, 8
+and 9; their build times are printed in the verdict lines that rely on them.
 """
 
 import gc
@@ -35,8 +35,8 @@ from squarewalls.complexes import (
     generalized_boundary_length,
 )
 from squarewalls.enumeration import (
+    EnumerationCursor,
     check_special_cells,
-    enumerate_abstract_complexes,
     random_labeled_complex,
     scan_local_iso,
 )
@@ -84,13 +84,6 @@ def verdict(num, ok, name, detail, elapsed, budget):
 
 
 # -- shared corpora -----------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def corpus2():
-    t0 = time.perf_counter()
-    classes = list(enumerate_abstract_complexes(2))
-    return SimpleNamespace(classes=classes, build_time=time.perf_counter() - t0)
 
 
 @pytest.fixture(scope="module")
@@ -209,12 +202,23 @@ def sweep(corpus2):
 # -- criteria -----------------------------------------------------------------------
 
 
+def degree_sum(cx) -> int:
+    """sum_e (2 - deg(e)) counted from the face walks, independently of the
+    closed forms generalized_boundary_length and cancellation use."""
+    deg = dict.fromkeys(cx.edges, 0)
+    for face in cx.faces.values():
+        for st in face.walk:
+            deg[st.edge] += 1
+    return sum(2 - d for d in deg.values())
+
+
 def test_criterion_01_boundary_identity(corpus2):
     t0 = time.perf_counter()
     for Y in corpus2.classes:
         E, F = len(Y.base.edges), len(Y.base.faces)
-        gb = generalized_boundary_length(Y.base)
-        assert gb == 4 * F - 2 * cancellation(Y.base) == 2 * E - 4 * F
+        gb = degree_sum(Y.base)
+        assert gb == generalized_boundary_length(Y.base) \
+            == 4 * F - 2 * cancellation(Y.base) == 2 * E - 4 * F
         assert gb % 2 == 0
     folded = 0
     checked = 0
@@ -224,8 +228,9 @@ def test_criterion_01_boundary_identity(corpus2):
             folded += 1
             continue
         E, F = len(Y.base.edges), len(Y.base.faces)
-        gb = generalized_boundary_length(Y.base)
-        assert gb == 4 * F - 2 * cancellation(Y.base) == 2 * E - 4 * F
+        gb = degree_sum(Y.base)
+        assert gb == generalized_boundary_length(Y.base) \
+            == 4 * F - 2 * cancellation(Y.base) == 2 * E - 4 * F
         assert gb % 2 == 0
         checked += 1
         if checked == 1000:
@@ -492,12 +497,12 @@ def test_criterion_10_monte_carlo_consistency():
 
 def test_criterion_11_statistical_reflections():
     t0 = time.perf_counter()
-    classes = list(enumerate_abstract_complexes(3))
+    classes = list(EnumerationCursor(3))
     corpus_time = time.perf_counter() - t0
     # bonus coverage for criterion 1 on the capped 3-face level
     for Y in classes:
         E, F = len(Y.base.edges), len(Y.base.faces)
-        assert generalized_boundary_length(Y.base) \
+        assert degree_sum(Y.base) == generalized_boundary_length(Y.base) \
             == 4 * F - 2 * cancellation(Y.base) == 2 * E - 4 * F
 
     p = IsoParams(d=0.2, eps=0.05)

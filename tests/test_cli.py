@@ -151,6 +151,21 @@ def test_windows_short_geodesic_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("src,dst,message", [
+    ("[9,9]", "[0,0]", "--from: unknown vertex [9,9]"),
+    ("[0,0]", "[9,9]", "--to: unknown vertex [9,9]"),
+    ('{"x":0}', "[0,0]", '--from: unknown vertex {"x":0}'),
+], ids=["from", "to", "object"])
+def test_windows_unknown_vertex_is_usage_error(src, dst, message, tmp_path, capsys):
+    out = tmp_path / "win.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["windows", "--fixture", "z2", "--radius", "3", "--from", src,
+             "--to", dst, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fulfill_mc_cli(tmp_path):
     cx = SquareComplex(
         ["p", "q", "r", "s"],

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 
 import pytest
@@ -15,7 +16,6 @@ from squarewalls.complexes import (
     build_quotient,
     cancellation,
     check_generalized_iso,
-    check_isoperimetric,
     generalized_boundary_length,
     shared_edge_pairs,
     slot_table,
@@ -159,8 +159,8 @@ def test_quotients_share_frozen_faces():
 
 
 def test_cancellation_closed_form_on_fixtures_and_a_sampled_ball():
-    # Cancel(Y) = 4|Y| - |E| against the per-edge degree sum, bare edges
-    # (degree 0) included
+    # Cancel(Y) = 4|Y| - |E| and bt(Y) = 2|E| - 4|Y| against the per-edge
+    # degree sums, bare edges (degree 0) included
     complexes = [cx for _name, cx in named_complexes()]
     complexes += [D.complex for _name, D in fixtures.planar_fixtures()]
     complexes += [fixtures.make_fixture(name) for name in fixtures.REGISTRY]
@@ -169,6 +169,8 @@ def test_cancellation_closed_form_on_fixtures_and_a_sampled_ball():
     complexes.append(ball)
     for cx in complexes:
         assert cancellation(cx) == sum(d - 1 for d in cx.degrees().values())
+        assert generalized_boundary_length(cx) \
+            == sum(2 - d for d in cx.degrees().values())
 
 
 def test_build_quotient_fold_rejected():
@@ -216,31 +218,6 @@ def test_planar_fixture_agreement():
 
 
 # -- isoperimetric checks -----------------------------------------------------
-
-
-def test_check_isoperimetric_examples():
-    p = IsoParams(d=0.3, eps=0.05)
-    rep = check_isoperimetric(fixtures.single_square(), p)
-    assert rep.passed and rep.threshold == pytest.approx(1.4)
-
-    rep = check_isoperimetric(fixtures.strongly_adjacent_diagram(), p)
-    assert rep.threshold == pytest.approx(2.8)
-    assert rep.passed  # 4 >= 2.8; the pair is legitimate at d > 1/4
-
-    rep = check_isoperimetric(fixtures.strongly_adjacent_diagram(),
-                              IsoParams(d=0.2, eps=0.05))
-    assert rep.threshold == pytest.approx(4.4)
-    assert not rep.passed  # low density forbids the pair
-
-
-def test_isoperimetric_full_boundary_always_passes():
-    # |dD| = 4|D| passes for every d, eps with d + eps < 1/2
-    sq = fixtures.single_square()
-    for d in (0.05, 0.2, 0.3, 0.45):
-        for eps in (0.01, 0.04):
-            if d + eps >= 0.5:
-                continue
-            assert check_isoperimetric(sq, IsoParams(d=d, eps=eps)).passed
 
 
 def test_check_generalized_iso_examples():
@@ -308,8 +285,10 @@ def test_validation_errors():
         )
     with pytest.raises(ComplexStructureError):  # disconnected 1-skeleton
         SquareComplex("abcd", {"e1": ("a", "b"), "e2": ("c", "d")}, {})
+    green = json.loads(fixtures.single_square().complex.to_json())
+    green["faces"][0]["color"] = "green"
     with pytest.raises(ComplexStructureError):
-        Face((Step("a", 1), Step("b", 1), Step("c", 1), Step("d", 1)), color="green")
+        SquareComplex.from_json(json.dumps(green))
     with pytest.raises(ComplexStructureError):
         Face((Step("a", 1), Step("b", 1), Step("c", 1), Step("d", 1)), start=4)
 

@@ -75,8 +75,8 @@ class _Union:
             self.parent[ry] = rx
 
 
-def oracle_build_quotient(n_faces: int, identifications, labels=None, starts=None,
-                          orients=None, colors=None) -> SquareComplex | None:
+def oracle_build_quotient(n_faces: int, identifications,
+                          labels=None) -> SquareComplex | None:
     slots = _SignedUnion(4 * n_faces)
     corners = _Union(4 * n_faces)
 
@@ -113,13 +113,7 @@ def oracle_build_quotient(n_faces: int, identifications, labels=None, starts=Non
         for j in range(4):
             r, s = slots.find(4 * f + j)
             walk.append(Step(edge_id[r], s))
-        faces[f] = Face(
-            tuple(walk),
-            label=None if labels is None else labels[f],
-            start=0 if starts is None else starts[f],
-            orient=1 if orients is None else orients[f],
-            color="regular" if colors is None else colors[f],
-        )
+        faces[f] = Face(tuple(walk), label=None if labels is None else labels[f])
     try:
         return SquareComplex(vert_id.values(), edges, faces)
     except ComplexStructureError:

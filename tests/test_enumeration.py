@@ -10,7 +10,6 @@ from squarewalls.enumeration import (
     SpecialCellsReport,
     canonical_key,
     check_special_cells,
-    enumerate_abstract_complexes,
     random_labeled_complex,
     scan_local_iso,
 )
@@ -23,11 +22,6 @@ from squarewalls.presentation import sample_presentation
 def local_iso_corpus():
     """The capped 3-face corpus that the local-iso benchmark scans."""
     return list(EnumerationCursor(3, parent_cap=10, level_cap=200))
-
-
-@pytest.fixture(scope="module")
-def k2_classes():
-    return list(enumerate_abstract_complexes(2))
 
 
 # -- one-face oracle: subsets of slot gluings, classified by explicit iso -----
@@ -76,7 +70,7 @@ def test_one_face_enumeration_matches_partition_oracle():
             continue
         if not any(single_face_iso(cx, r) for r in reps):
             reps.append(cx)
-    emitted = list(enumerate_abstract_complexes(1))
+    emitted = list(EnumerationCursor(1))
     assert len(reps) == len(emitted) == 49
     # exact one-to-one matching between the two enumerations
     for Y in emitted:
@@ -155,17 +149,17 @@ def test_canonical_key_none_on_fold():
 # -- two-face enumeration -------------------------------------------------------
 
 
-def test_two_face_class_counts(k2_classes):
-    counts = Counter((len(Y.base.faces), Y.n_labels) for Y in k2_classes)
+def test_two_face_class_counts(corpus2):
+    counts = Counter((len(Y.base.faces), Y.n_labels) for Y in corpus2.classes)
     assert counts == {(1, 1): 49, (2, 1): 37264, (2, 2): 37264}
-    assert len(k2_classes) == 74577
+    assert len(corpus2.classes) == 74577
 
 
-def test_capped_corpus_begins_with_the_complete_levels(k2_classes, local_iso_corpus):
+def test_capped_corpus_begins_with_the_complete_levels(corpus2, local_iso_corpus):
     # growth only appends: the capped corpus repeats the K <= 2 enumeration
     # class for class, then holds level_cap 3-face classes
-    n = len(k2_classes)
-    for Y, Z in zip(local_iso_corpus[:n], k2_classes):
+    n = len(corpus2.classes)
+    for Y, Z in zip(local_iso_corpus[:n], corpus2.classes):
         assert Y.n_labels == Z.n_labels
         assert Y.base.edges == Z.base.edges
         assert Y.base.faces == Z.base.faces
@@ -208,8 +202,8 @@ def test_parents_are_the_head_of_the_sorted_pool(monkeypatch):
         assert cursor.truncated == (len(pool) > cap)
 
 
-def test_multiplicities_sum_to_size(k2_classes):
-    for Y in k2_classes[::500]:
+def test_multiplicities_sum_to_size(corpus2):
+    for Y in corpus2.classes[::500]:
         mult = Counter(f.label for f in Y.base.faces.values())
         assert sum(mult.values()) == len(Y.base.faces)
 
@@ -232,14 +226,17 @@ def test_complete_levels_not_truncated():
 
 
 def test_second_pass_repeats_the_first():
+    # every pass starts afresh: the same classes, work counters and
+    # truncation flag
     cursor = EnumerationCursor(3, parent_cap=2, level_cap=50)
     first = [Y.to_json() for Y in cursor]
-    work = dict(cursor.work)
+    work, truncated = dict(cursor.work), cursor.truncated
     second = [Y.to_json() for Y in cursor]
     assert len(first) == 49 + 74528 + 50
     assert second == first
     assert cursor.work == work
-    assert cursor.truncated
+    assert cursor.truncated == truncated
+    assert truncated
 
 
 def test_work_counters_are_deterministic():
@@ -267,10 +264,10 @@ def test_random_labeled_complex_deterministic():
 # -- local generalized-isoperimetry scan -----------------------------------------
 
 
-def test_scan_reports_three_share_pair(k2_classes):
+def test_scan_reports_three_share_pair(corpus2):
     R = [(1, 2, 3, 1), (1, 2, 3, 2)]
     p = IsoParams(d=0.3, eps=0.07)
-    violations = scan_local_iso(R, 2, p, classes=k2_classes)
+    violations = scan_local_iso(R, 2, p, classes=corpus2.classes)
     assert violations
     for v in violations:
         assert check_assignment(v.complex, v.assignment)
@@ -285,32 +282,32 @@ def test_scan_reports_three_share_pair(k2_classes):
     assert '"cancel"' in line and '"assignment"' in line
 
 
-def test_scan_commutator_low_density_not_empty(k2_classes):
+def test_scan_commutator_low_density_not_empty(corpus2):
     # the relator's own doubled-edge quotient has cancellation 2 on one face
     # and is fulfillable, so at d=0.05 the scan genuinely finds violations
     R = [(1, 2, -1, -2)]
-    violations = scan_local_iso(R, 2, IsoParams(d=0.05, eps=0.01), classes=k2_classes)
+    violations = scan_local_iso(R, 2, IsoParams(d=0.05, eps=0.01), classes=corpus2.classes)
     assert violations
     assert any(v.size == 1 and v.cancel == 2 for v in violations)
 
 
-def test_scan_commutator_higher_density(k2_classes):
+def test_scan_commutator_higher_density(corpus2):
     R = [(1, 2, -1, -2)]
     p = IsoParams(d=0.3, eps=0.01)
-    violations = scan_local_iso(R, 2, p, classes=k2_classes)
+    violations = scan_local_iso(R, 2, p, classes=corpus2.classes)
     for v in violations:
         assert v.cancel > 4 * (p.d + p.eps) * v.size
     assert any(v.size == 1 and v.cancel == 2 for v in violations)
 
 
-def test_scan_distinct_letter_relator(k2_classes):
+def test_scan_distinct_letter_relator(corpus2):
     # an all-distinct-letter relator admits no self-gluing, so no one-face
     # complex is fulfillable; on two faces only identity overlays survive
     # (both faces read the word in the same direction at equal positions)
     R = [(1, 2, 3, 4)]
     p = IsoParams(d=0.3, eps=0.01)
     assert scan_local_iso(R, 1, p) == []
-    violations = scan_local_iso(R, 2, p, classes=k2_classes)
+    violations = scan_local_iso(R, 2, p, classes=corpus2.classes)
     assert violations
     for v in violations:
         assert v.size == 2
@@ -320,9 +317,9 @@ def test_scan_distinct_letter_relator(k2_classes):
             assert len(positions) == 1  # equal position, equal direction
 
 
-def test_second_scan_builds_no_constraint_table(k2_classes, monkeypatch):
+def test_second_scan_builds_no_constraint_table(corpus2, monkeypatch):
     # fresh wrappers of the shared corpus, so no table is built yet
-    classes = [AbstractComplex(Y.base, Y.n_labels) for Y in k2_classes]
+    classes = [AbstractComplex(Y.base, Y.n_labels) for Y in corpus2.classes]
     built = []
     compile_table = fulfill._constraint_table
 

@@ -440,9 +440,11 @@ def test_set_level_impossible_complex():
 
 
 def test_set_level_guard():
+    # density 0.4 at rank 2 draws 5 of the 84 pool words: C(84, 5) subsets
     Y = wrap_quotient(2, [((0, 1), (1, 1), -1)], [1, 2])
-    with pytest.raises(InfeasibleError):
-        exact_set_fulfill_probability(Y, 2, 0.25, max_subsets=10)
+    with pytest.raises(InfeasibleError,
+                       match="^30872016 subsets exceed the enumeration budget$"):
+        exact_set_fulfill_probability(Y, 2, 0.4)
 
 
 # -- monte carlo ----------------------------------------------------------------------
@@ -574,8 +576,7 @@ def oracle_counts(Y: AbstractComplex, W) -> list:
     return counts[1:]
 
 
-def oracle_set_fulfill(Y: AbstractComplex, m: int, d: float,
-                       max_subsets: int = 2_000_000) -> SetFulfillReport:
+def oracle_set_fulfill(Y: AbstractComplex, m: int, d: float) -> SetFulfillReport:
     n = Y.n_labels
     pool = fulfill_module.w_count(m)
     r = relator_count(m, d)
@@ -591,7 +592,7 @@ def oracle_set_fulfill(Y: AbstractComplex, m: int, d: float,
         prob = 1.0 - math.comb(pool - good, r) / math.comb(pool, r)
         return SetFulfillReport(prob, r, "hypergeometric", good)
     total = math.comb(pool, r)
-    if total > max_subsets:
+    if total > 2_000_000:
         raise InfeasibleError(f"{total} subsets exceed the enumeration budget")
     hits = 0
     if n == 2:
@@ -694,5 +695,5 @@ def test_set_fulfill_refuses_before_listing_the_pool(monkeypatch):
         exact_set_fulfill_probability(three, 3, 0.25)
     shared = wrap_quotient(2, [((0, 1), (1, 1), -1)], [1, 2])
     with pytest.raises(InfeasibleError,
-                       match="^95284 subsets exceed the enumeration budget$"):
-        exact_set_fulfill_probability(shared, 2, 0.25, max_subsets=10)
+                       match="^30872016 subsets exceed the enumeration budget$"):
+        exact_set_fulfill_probability(shared, 2, 0.4)

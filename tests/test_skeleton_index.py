@@ -12,7 +12,7 @@ from collections import deque
 import pytest
 
 from squarewalls.cayley import build_ball
-from squarewalls.complexes import SkeletonIndex, SquareComplex, _idkey
+from squarewalls.complexes import ComplexStructureError, SkeletonIndex, SquareComplex, _idkey
 from squarewalls.fixtures import staircase, z2_ball
 from squarewalls.presentation import Presentation, sample_presentation
 from squarewalls.walls import (
@@ -111,14 +111,19 @@ def test_lower_bound_rows_match_the_oracle_on_shuffled_pairs():
 
 
 def test_disconnected_pair_raises():
-    X = SquareComplex(["a", "b"], {}, {}, check=False)
-    with pytest.raises(ValueError):
-        _oracle_geodesic(X, "a", "b")
-    with pytest.raises(ValueError):
-        bfs_geodesic(X, "a", "b")
-    with pytest.raises(ValueError):
-        check_wall_lower_bound(WallDecomposition((), ()), X, [("a", "a"), ("a", "b")])
-    assert dict(bfs_distances(X, "a")) == {"a": 0}
+    # construction refuses a disconnected complex, so every pair of vertices
+    # has a geodesic and only an id the complex lacks has no distance
+    with pytest.raises(ComplexStructureError):
+        SquareComplex(["a", "b"], {}, {})
+    X = z2_ball(2)
+    for x, y in (((9, 9), (0, 0)), ((0, 0), (9, 9))):
+        with pytest.raises(KeyError):
+            bfs_geodesic(X, x, y)
+        with pytest.raises(KeyError):
+            check_wall_lower_bound(WallDecomposition((), ()), X, [(x, x), (x, y)])
+    tree = bfs_distances(X, (0, 0))
+    assert len(tree) == len(X.vertices) and set(tree) == X.vertices
+    assert tree.get((9, 9)) is None
 
 
 def test_index_is_built_once_per_complex(monkeypatch):

@@ -426,7 +426,7 @@ def test_windows_fail_with_standard_walls_only():
     cx, gamma, _x, _y = staircase(11)
     painted = paint(cx)
     W = wall_decomposition(painted, kinds=("standard",))
-    rep = check_window_crossing(cx, W, gamma)
+    rep = check_window_crossing(cx, W, [st.edge for st in gamma])
     assert rep.geodesic_length == 22
     assert len(rep.statuses) == 8
     assert set(rep.statuses) == {"fail"}
@@ -437,7 +437,7 @@ def test_windows_pass_with_all_kinds():
     cx, gamma, _x, _y = staircase(11)
     painted = paint(cx)
     W = wall_decomposition(painted)
-    rep = check_window_crossing(cx, W, gamma)
+    rep = check_window_crossing(cx, W, [st.edge for st in gamma])
     assert rep.all_pass
 
 
