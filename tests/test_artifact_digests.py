@@ -19,6 +19,20 @@ Z2 = ("--fixture", "z2", "--radius", "7")
 PIPELINES = {
     "z2_r7_walls_json": [(("walls", *Z2), "walls.json")],
     "z2_r7_walls_dot": [(("walls", *Z2, "--format", "dot"), "walls.dot")],
+    "wall_metric_5_0.15_1_r2":
+        "8ee5e5beabec9214da30d70f4d08412fff2df1950bca968cab73d37760ebd67c",
+    "walls_annulus":
+        "48de7f84049564c65e1f022abfef3e85043c28c4b98da498aae12d4a8f70a123",
+    "walls_comparison":
+        "2e9464cc9fb361a8d156a3628eb6ae01feb3bf78c678d053ed5cf3405a99d75d",
+    "walls_house":
+        "5e29dfe3656bdb60f76ea9d866c1848d1a2f1f4191429420a995e151771128f8",
+    "walls_special-pairs":
+        "062863864ab4d07c7eb9e7b866aba159007b3674909f137076bfaff74d4de08b",
+    "walls_staircase":
+        "5dcb43a683178c8a5adc5597d180b474ee1fcf5501ca5803ac3314b5f2b7676c",
+    "windows_staircase_11":
+        "a684e3324576ce6cfa019c830c03d99cbe2c48665be8c0f40dc2de23406fe043",
     "z2_r7_wall_metric_csv": [
         (("wall-metric", *Z2, "--format", "csv"), "metric.csv")],
 }
@@ -46,6 +60,19 @@ for faces in (1, 2):
     PIPELINES[f"scan_iso_2_0.25_1_f{faces}"] = [
         (("scan-iso", "--rank", "2", "--density", "0.25", "--seed", "1",
           "--faces", str(faces)), "scan.json")]
+# named ids of every kind (strings, tuples), red and blue turns
+for fixture in ("comparison", "staircase", "annulus", "special-pairs", "house"):
+    PIPELINES[f"walls_{fixture}"] = [
+        (("walls", "--fixture", fixture), "walls.json")]
+# a 22-edge geodesic through the split squares of the staircase
+PIPELINES["windows_staircase_11"] = [
+    (("windows", "--fixture", "staircase", "--length", "11",
+      "--from", '["k",0]', "--to", '["k",11]'), "windows.json")]
+# breadth-first search over the word-tuple vertices of a sampled ball
+PIPELINES["wall_metric_5_0.15_1_r2"] = [
+    (("sample", "--rank", "5", "--density", "0.15", "--seed", "1"), "pres.json"),
+    (("ball", "--in", "pres.json", "--radius", "2"), "ball.json"),
+    (("wall-metric", "--in", "ball.json"), "metric.json")]
 
 DIGESTS = {
     "ball_5_0.15_144666_r2":
@@ -62,6 +89,20 @@ DIGESTS = {
         "b9a7049ce9c88a6d06690c8894153d02dc4256de77cad239511c5127ff37baf1",
     "scan_iso_2_0.25_1_f2":
         "891884c7c73253ecfd6a65b6bafdf532fcc0183148835c3adf1d9b9b45483c70",
+    "wall_metric_5_0.15_1_r2":
+        "8ee5e5beabec9214da30d70f4d08412fff2df1950bca968cab73d37760ebd67c",
+    "walls_annulus":
+        "48de7f84049564c65e1f022abfef3e85043c28c4b98da498aae12d4a8f70a123",
+    "walls_comparison":
+        "2e9464cc9fb361a8d156a3628eb6ae01feb3bf78c678d053ed5cf3405a99d75d",
+    "walls_house":
+        "5e29dfe3656bdb60f76ea9d866c1848d1a2f1f4191429420a995e151771128f8",
+    "walls_special-pairs":
+        "062863864ab4d07c7eb9e7b866aba159007b3674909f137076bfaff74d4de08b",
+    "walls_staircase":
+        "5dcb43a683178c8a5adc5597d180b474ee1fcf5501ca5803ac3314b5f2b7676c",
+    "windows_staircase_11":
+        "a684e3324576ce6cfa019c830c03d99cbe2c48665be8c0f40dc2de23406fe043",
     "z2_r7_wall_metric_csv":
         "c908006ba16f3b0439d0c88000a8ce2f12acf3aae8b50b26995ca31bc4834acb",
     "z2_r7_walls_dot":

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import islice, product
@@ -170,6 +171,16 @@ def test_cancellation_closed_form_on_local_iso_corpus(local_iso_corpus):
     assert len(local_iso_corpus) == 49 + 74528 + 200
     for Y in local_iso_corpus:
         assert cancellation(Y.base) == sum(d - 1 for d in Y.base.degrees().values())
+
+
+def test_local_iso_corpus_bytes_are_pinned(local_iso_corpus):
+    """Each class's to_json() plus a newline, in corpus order: the classes,
+    their order and the ids of every vertex, edge and face."""
+    h = hashlib.sha256()
+    for Y in local_iso_corpus:
+        h.update((Y.to_json() + "\n").encode())
+    assert h.hexdigest() == (
+        "ad4b7790ee561aab3eb5560f309bf5dcfff92e2abc842ea21171c2ecc3c07896")
 
 
 def test_parents_are_the_head_of_the_sorted_pool(monkeypatch):
