@@ -37,7 +37,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .complexes import Face, SquareComplex, Step, _idkey
+from .complexes import Face, NameTable, SquareComplex, Step, _idkey, ordered_names
 from .presentation import (
     Presentation,
     alphabet,
@@ -63,6 +63,10 @@ class WordProblemBudget:
     the vertices build_ball creates."""
 
     hard_cap: int = 1_000_000
+
+    def __post_init__(self):
+        if self.hard_cap < 1:
+            raise ValueError("hard_cap must be >= 1")
 
     def area_cap(self, boundary_length: int, density: float) -> int:
         """Faces a minimal diagram with this boundary can have."""
@@ -221,10 +225,10 @@ def words_equal(P: Presentation, u, v,
 class CayleyBall:
     """Radius-r piece of the Cayley complex.
 
-    Vertex ids are the canonical shortlex-geodesic representative words; edge
-    (w, a) runs from w to w·a for a positive letter a; faces are numbered and
-    read a cyclic rotation of their relator. complete maps each vertex to its
-    completeness flag. work holds build_ball's deterministic counts
+    Vertex names are the canonical shortlex-geodesic representative words; edge
+    (w, a) runs from w to w·a for a positive letter a; faces are named 0, 1, ...
+    and read a cyclic rotation of their relator. complete maps each vertex id to
+    its completeness flag. work holds build_ball's deterministic counts
     (cosets_defined, coincidences, relator_scans); it is not part of
     to_json. The ball keeps no move table of its own: a word is read through
     the ball by following base.edges, since edge (w, a) is the a-move at w
@@ -244,8 +248,8 @@ class CayleyBall:
         doc["radius"] = self.radius
         doc["presentation"] = json.loads(self.presentation.to_json())
         doc["vertex_data"] = [
-            {"representative": word_token(v), "complete": self.complete[v]}
-            for v in sorted(self.base.vertices, key=_idkey)
+            {"representative": word_token(w), "complete": self.complete[v]}
+            for v, w in enumerate(self.base.names.vertices)
         ]
         return json.dumps(doc, sort_keys=True)
 
@@ -378,9 +382,9 @@ def build_ball(P: Presentation, r: int,
 
 def _ball_from_table(P: Presentation, r: int, dist: dict, find, neighbor,
                      work: dict) -> CayleyBall:
-    """The radius-r ball of a closed coset table, whose vertex ids are
-    renamed to their shortlex-geodesic words; dist holds the distance from
-    the origin of at least every table vertex within radius r.
+    """The radius-r ball of a closed coset table, whose vertices are named
+    by their shortlex-geodesic words, sorted once; dist holds the distance
+    from the origin of at least every table vertex within radius r.
 
     One trace of each relator rotation from each ball vertex finds both the
     faces, the closed traces whose four vertices lie in the ball, and the
@@ -401,22 +405,26 @@ def _ball_from_table(P: Presentation, r: int, dist: dict, find, neighbor,
                 rep[y] = rep[x] + (g,)
                 order.append(y)
 
-    edges = {}
+    vnames = ordered_names(rep.values())
+    word_id = {w: i for i, w in enumerate(vnames)}
+    vid = {x: word_id[w] for x, w in rep.items()}
+    ends = {}
     for v in live:
         for g in gens:
             if g < 0:
                 continue
             w = neighbor(v, g)
             if w in live_set:
-                edges[(rep[v], g)] = (rep[v], rep[w])
+                ends[(rep[v], g)] = (vid[v], vid[w])
+    enames = ordered_names(ends)
+    eid = {e: i for i, e in enumerate(enames)}
+    edges = {i: ends[e] for i, e in enumerate(enames)}
 
     # a closed trace of an inverse relator from v is the reversal of a
     # relator trace from v, so the relator rotations find every face at v
-    faces = {}
     seen_walks: dict = {}
-    complete = {}
+    complete = dict.fromkeys(range(len(vnames)), True)
     for v in live:
-        complete[rep[v]] = True
         for ri, relator in enumerate(P.relators):
             for k in range(4):
                 rot = relator[k:] + relator[:k]
@@ -429,27 +437,28 @@ def _ball_from_table(P: Presentation, r: int, dist: dict, find, neighbor,
                 if len(path) != 5 or path[-1] != path[0]:
                     continue
                 if not live_set.issuperset(path):
-                    complete[rep[v]] = False
+                    complete[vid[v]] = False
                     continue
                 steps = []
                 for idx, l in enumerate(rot):
                     if l > 0:
-                        steps.append(Step((rep[path[idx]], l), 1))
+                        steps.append(Step(eid[(rep[path[idx]], l)], 1))
                     else:
-                        steps.append(Step((rep[path[idx + 1]], -l), -1))
+                        steps.append(Step(eid[(rep[path[idx + 1]], -l)], -1))
                 rotations = [tuple(steps[t:] + steps[:t]) for t in range(4)]
-                tagged = sorted(
-                    (tuple((_idkey(st.edge), st.dir) for st in w), t)
-                    for t, w in enumerate(rotations))
-                key = (ri, tagged[0][0])
+                # edge ids follow edge names: the least walk by id is the least by name
+                t = min(range(4), key=rotations.__getitem__)
+                key = (ri, rotations[t])
                 if key in seen_walks:
                     continue
-                t = tagged[0][1]
                 # slot 0 of the stored walk reads relator position (k + t) % 4
                 seen_walks[key] = Face(rotations[t], label=ri + 1,
                                        start=(-(k + t)) % 4, orient=1)
-    for i, key in enumerate(sorted(seen_walks, key=_idkey)):
-        faces[i] = seen_walks[key]
 
-    base = SquareComplex([rep[v] for v in live], edges, faces)
+    # faces are named 0, 1, ... in the repr order of their walks read by edge name
+    by_name = sorted(seen_walks, key=lambda key: _idkey(
+        (key[0], tuple((_idkey(enames[st.edge]), st.dir) for st in key[1]))))
+    fnames = ordered_names(range(len(by_name)))
+    faces = {i: seen_walks[by_name[f]] for i, f in enumerate(fnames)}
+    base = SquareComplex(NameTable(vnames, enames, fnames), edges, faces)
     return CayleyBall(base, r, P, complete, work)

@@ -16,10 +16,11 @@ import csv
 import io
 import json
 import sys
+from itertools import combinations
 
 from . import __version__
 from .cayley import BudgetExhausted, WordProblemBudget, build_ball
-from .complexes import IsoParams, SquareComplex, _id_in, _id_out, _idkey
+from .complexes import IsoParams, SquareComplex, _id_in, _id_out
 from .enumeration import EnumerationCursor, check_special_cells, scan_local_iso
 from .fixtures import REGISTRY, make_fixture
 from .fulfill import AbstractComplex, monte_carlo_set_fulfill
@@ -175,9 +176,8 @@ def _cmd_ball(args, parser) -> int:
         P = _read_in(parser, args.infile, "presentation", Presentation)
     else:
         P = _sample(args, parser)
-    budget = WordProblemBudget(hard_cap=args.hard_cap)
     try:
-        ball = build_ball(P, args.radius, budget)
+        ball = build_ball(P, args.radius, WordProblemBudget(hard_cap=args.hard_cap))
     except ValueError as exc:
         parser.error(str(exc))
     except BudgetExhausted as exc:
@@ -212,11 +212,9 @@ def _walls_or_report(args, X: SquareComplex, kinds):
 
 
 def _wall_rows(X: SquareComplex, W):
-    """Lower-bound rows for every vertex pair, grouped by source vertex in
-    canonical order."""
-    verts = X.skeleton.vertices
-    pairs = ((x, y) for i, x in enumerate(verts) for y in verts[i + 1:])
-    return check_wall_lower_bound(W, X, pairs)
+    """Lower-bound rows for every vertex pair x < y, grouped by source
+    vertex in id order."""
+    return check_wall_lower_bound(W, X, combinations(X.vertices, 2))
 
 
 def _cmd_walls(args, parser) -> int:
@@ -224,15 +222,16 @@ def _cmd_walls(args, parser) -> int:
     W = _walls_or_report(args, X, _kinds(args, parser))
     if W is None:
         return 1
+    edge, face = X.names.edges, X.names.faces
     if args.format == "dot":
         lines = [f"// {json.dumps(_envelope(args), sort_keys=True)}"]
         for i, H in enumerate(W.walls):
             lines.append(f'graph "{H.kind}_{i}" {{')
-            for e in sorted(H.vertices, key=_idkey):
-                lines.append(f'  "{_vertex_token(e)}";')
+            for e in sorted(H.vertices):
+                lines.append(f'  "{_vertex_token(edge[e])}";')
             for a, b, fid in H.edges:
-                lines.append(f'  "{_vertex_token(a)}" -- "{_vertex_token(b)}"'
-                             f' [label="{_vertex_token(fid)}"];')
+                lines.append(f'  "{_vertex_token(edge[a])}" -- "{_vertex_token(edge[b])}"'
+                             f' [label="{_vertex_token(face[fid])}"];')
             lines.append("}")
         _emit(args, "\n".join(lines) + "\n")
         return 0
@@ -242,9 +241,10 @@ def _cmd_walls(args, parser) -> int:
         tree = is_embedded_tree(H)
         doc["walls"].append({
             "kind": H.kind,
-            "dual_edges": [_id_out(e) for e in sorted(H.vertices, key=_idkey)],
-            "carrier": [_id_out(f) for f in sorted(H.carrier, key=_idkey)],
-            "segments": [[_id_out(a), _id_out(b), _id_out(f)] for a, b, f in H.edges],
+            "dual_edges": [_id_out(edge[e]) for e in sorted(H.vertices)],
+            "carrier": [_id_out(face[f]) for f in sorted(H.carrier)],
+            "segments": [[_id_out(edge[a]), _id_out(edge[b]), _id_out(face[f])]
+                         for a, b, f in H.edges],
             "complement_count": rep.count,
             "boundary_open": rep.boundary_open,
             "embedded_tree": tree.tree,
@@ -265,15 +265,16 @@ def _cmd_wall_metric(args, parser) -> int:
         buf.write(f"# {json.dumps(_envelope(args), sort_keys=True)}\n")
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["x", "y", "d_edge", "d_wall", "bound", "status"])
-        token = {v: _vertex_token(v) for v in X.vertices}
+        token = [_vertex_token(v) for v in X.names.vertices]
         for r in reports:
             w.writerow([token[r.x], token[r.y],
                         r.d_edge, r.d_wall, r.bound, r.status])
         _emit(args, buf.getvalue())
     else:
+        name = X.names.vertices
         doc = _envelope(args)
         doc["rows"] = [
-            {"x": _id_out(r.x), "y": _id_out(r.y), "d_edge": r.d_edge,
+            {"x": _id_out(name[r.x]), "y": _id_out(name[r.y]), "d_edge": r.d_edge,
              "d_wall": r.d_wall, "bound": r.bound, "status": r.status}
             for r in reports
         ]
@@ -291,15 +292,15 @@ def _cmd_windows(args, parser) -> int:
         y = _id_in(json.loads(args.dst))
     except json.JSONDecodeError as exc:
         parser.error(f"--from/--to must be JSON vertex ids: {exc}")
+    ends = []
     for flag, v in (("--from", x), ("--to", y)):
         try:
-            known = v in X.vertices
-        except TypeError:  # unhashable, as a JSON object is
-            known = False
-        if not known:
+            ends.append(X.ids.vertices[v])
+        except (KeyError, TypeError):  # unknown, or unhashable as a JSON object is
             parser.error(f"{flag}: unknown vertex {_vertex_token(v)}")
     try:
-        report = check_window_crossing(X, W, bfs_geodesic(X, x, y)[1])
+        path = [X.names.edges[e] for e in bfs_geodesic(X, *ends)[1]]
+        report = check_window_crossing(X, W, path)
     except ValueError as exc:
         parser.error(str(exc))
     doc = _envelope(args)

@@ -2,8 +2,10 @@
 
 A SquareComplex is a combinatorial 2-complex whose faces are squares: each
 face carries a closed attaching walk of exactly 4 directed edge slots.
-Edge ids and vertex ids are arbitrary hashables (ints, strings, coordinate
-tuples).
+Vertices, edges and faces are numbered once, when the complex is built: the
+ints 0..n-1 of each kind, in the order (type name, then repr) of the names
+they were given. The library works on ids; the names live in one table on the
+complex, which serialization and the entry points that take names read.
 
 The two basic measurements are
 
@@ -15,7 +17,7 @@ contributes 2. Both sums run over every edge of the complex (a bare edge of
 degree 0 contributes +2 and -1 respectively). Since sum_e deg(e) = 4|Y|,
 over the whole complex both are closed forms, bt(Y) = 2|E| - 4|Y| and
 Cancel(Y) = 4|Y| - |E|, and the identity bt(Y) = 4|Y| - 2*Cancel(Y) holds
-unconditionally. Only a face subset needs the per-edge degrees.
+unconditionally. A face subset is measured on the subcomplex it spans.
 
 Every SquareComplex is validated on construction, so its 1-skeleton is
 connected and every vertex is reachable from every other.
@@ -29,10 +31,11 @@ slot j, traversed with step direction dir, is word[t]^(dir*o).
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, NamedTuple
+from itertools import combinations
+from typing import Iterable, NamedTuple
 
 
 class ComplexStructureError(ValueError):
@@ -40,11 +43,8 @@ class ComplexStructureError(ValueError):
 
 
 class Step(NamedTuple):
-    edge: Hashable
+    edge: int  # an edge id; an edge name only on the way into SquareComplex.named
     dir: int  # +1 traverses src -> dst, -1 traverses dst -> src
-
-    def reversed(self) -> "Step":
-        return Step(self.edge, -self.dir)
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,25 +72,65 @@ class Face:
         return (self.orient * (j - self.start)) % 4
 
 
-class SquareComplex:
-    """Immutable-after-build square complex.
+class NameTable(NamedTuple):
+    """The name of every id of a complex, per kind: vertices[i] names
+    vertex i. Names are hashables, ordered by type name and then repr."""
 
-    vertices: iterable of vertex ids
-    edges: dict edge_id -> (src, dst)
-    faces: dict face_id -> Face
+    vertices: tuple
+    edges: tuple
+    faces: tuple
+
+
+class SquareComplex:
+    """Immutable-after-build square complex on ids 0..n-1 of each kind.
+
+    names: NameTable, the name of every id; ids inverts it
+    vertices: range of the vertex ids
+    edges: dict edge id -> (src, dst) vertex ids, in id order
+    faces: dict face id -> Face, whose steps carry edge ids, in id order
     """
 
-    def __init__(self, vertices: Iterable[Hashable], edges: dict, faces: dict):
-        self.vertices = frozenset(vertices)
-        self.edges = dict(edges)
-        self.faces = dict(faces)
+    def __init__(self, names: NameTable, edges: dict, faces: dict):
+        self.names = names
+        self.edges = edges
+        self.faces = faces
         self._validate()
+
+    @property
+    def vertices(self) -> range:
+        return range(len(self.names.vertices))
+
+    @cached_property
+    def ids(self) -> NameTable:
+        """name -> id per kind, built on first use."""
+        return NameTable(*({x: i for i, x in enumerate(kind)} for kind in self.names))
+
+    @classmethod
+    def named(cls, vertices: Iterable, edges: dict, faces: dict) -> "SquareComplex":
+        """The complex given by names: vertex names, edge name -> (src name,
+        dst name), face name -> Face whose steps carry edge names. Each kind
+        is numbered in the order of its names."""
+        names = NameTable(ordered_names(set(vertices)), ordered_names(edges),
+                          ordered_names(faces))
+        vid = {v: i for i, v in enumerate(names.vertices)}
+        eid = {e: i for i, e in enumerate(names.edges)}
+        try:
+            ends = {i: (vid[edges[e][0]], vid[edges[e][1]])
+                    for i, e in enumerate(names.edges)}
+            walks = {i: _renumbered(faces[f], eid) for i, f in enumerate(names.faces)}
+        except KeyError as exc:
+            raise ComplexStructureError(f"unknown vertex or edge {exc.args[0]!r}") from None
+        return cls(names, ends, walks)
 
     # -- validation ---------------------------------------------------------
 
     def _validate(self):
+        if (list(self.edges) != list(range(len(self.names.edges)))
+                or list(self.faces) != list(range(len(self.names.faces)))):
+            raise ComplexStructureError("edges and faces must be 0..n-1 in order")
+        vertices = self.vertices
         for e, (src, dst) in self.edges.items():
-            if src not in self.vertices or dst not in self.vertices:
+            if src not in vertices or dst not in vertices:
                 raise ComplexStructureError(f"edge {e!r} endpoint missing")
         for fid, f in self.faces.items():
             if not isinstance(f, Face):
@@ -103,82 +143,71 @@ class SquareComplex:
             for i in range(4):
                 if ends[i][1] != ends[i - 3][0]:
                     raise ComplexStructureError(f"face {fid!r} walk does not chain at slot {i}")
-        if self.vertices and not self._skeleton_connected():
+        if vertices and not self._skeleton_connected():
             raise ComplexStructureError("1-skeleton is not connected")
 
     def _skeleton_connected(self) -> bool:
-        start = next(iter(self.vertices))
-        adj: dict[Hashable, list] = {v: [] for v in self.vertices}
+        adj: list = [[] for _ in self.vertices]
         for src, dst in self.edges.values():
             adj[src].append(dst)
             adj[dst].append(src)
-        seen = {start}
-        q = deque([start])
-        while q:
-            v = q.popleft()
-            for w in adj[v]:
+        seen = {0}
+        stack = [0]
+        while stack:
+            for w in adj[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
-                    q.append(w)
-        return len(seen) == len(self.vertices)
+                    stack.append(w)
+        return len(seen) == len(adj)
 
     # -- traversal ----------------------------------------------------------
 
-    def step_tail(self, st: Step) -> Hashable:
+    def step_tail(self, st: Step) -> int:
         src, dst = self.edges[st.edge]
         return src if st.dir == 1 else dst
 
-    def step_head(self, st: Step) -> Hashable:
+    def step_head(self, st: Step) -> int:
         src, dst = self.edges[st.edge]
         return dst if st.dir == 1 else src
 
-    # -- measurements -------------------------------------------------------
-
-    def degrees(self, face_ids: Iterable | None = None) -> Counter:
-        """Slot-occurrence count per edge, counted afresh on every call. Over
-        the whole complex every edge is reported, bare edges with 0;
-        restricting to face_ids counts only those faces' slots and only
-        reports edges they touch."""
-        if face_ids is None:
-            deg = Counter(dict.fromkeys(self.edges, 0))
-            face_ids = self.faces
-        else:
-            deg = Counter()
-        for fid in face_ids:
-            for st in self.faces[fid].walk:
-                deg[st.edge] += 1
-        return deg
+    def spanned(self, face_ids) -> "SquareComplex":
+        """The subcomplex of the given faces, their edges and the edges'
+        endpoints, under the same names and numbered afresh."""
+        vn, en, fn = self.names
+        faces = {fn[f]: self.faces[f] for f in face_ids}
+        edges = {en[st.edge]: tuple(vn[v] for v in self.edges[st.edge])
+                 for face in faces.values() for st in face.walk}
+        return SquareComplex.named({v for uv in edges.values() for v in uv}, edges,
+                                   {f: _renumbered(face, en) for f, face in faces.items()})
 
     @cached_property
     def skeleton(self) -> "SkeletonIndex":
-        """The canonical 1-skeleton index, built on first use. A property
-        rather than an attribute set here, so that the many complexes an
-        enumeration builds and never searches carry no extra slot."""
+        """The 1-skeleton index, built on first use. A property rather than
+        an attribute set here, so that the many complexes an enumeration
+        builds and never searches carry no extra slot."""
         return SkeletonIndex.build(self)
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
-        verts = sorted(self.vertices, key=_idkey)
+        vn, en, fn = self.names
         edges = [
-            {"id": _id_out(e), "src": _id_out(s), "dst": _id_out(d)}
-            for e, (s, d) in sorted(self.edges.items(), key=lambda kv: _idkey(kv[0]))
+            {"id": _id_out(en[e]), "src": _id_out(vn[s]), "dst": _id_out(vn[d])}
+            for e, (s, d) in self.edges.items()
         ]
-        faces = []
-        for fid in sorted(self.faces, key=_idkey):
-            f = self.faces[fid]
-            faces.append(
-                {
-                    "id": _id_out(fid),
-                    "walk": [{"edge": _id_out(st.edge), "dir": st.dir} for st in f.walk],
-                    "label": f.label,
-                    "start": f.start,
-                    "orient": f.orient,
-                    "color": "regular",
-                }
-            )
+        faces = [
+            {
+                "id": _id_out(fn[fid]),
+                "walk": [{"edge": _id_out(en[st.edge]), "dir": st.dir} for st in f.walk],
+                "label": f.label,
+                "start": f.start,
+                "orient": f.orient,
+                "color": "regular",
+            }
+            for fid, f in self.faces.items()
+        ]
         return json.dumps(
-            {"vertices": [_id_out(v) for v in verts], "edges": edges, "faces": faces},
+            {"vertices": [_id_out(v) for v in vn], "edges": edges, "faces": faces},
             sort_keys=True,
         )
 
@@ -198,36 +227,37 @@ class SquareComplex:
                 start=fd.get("start", 0),
                 orient=fd.get("orient", 1),
             )
-        return cls(vertices, edges, faces)
+        return cls.named(vertices, edges, faces)
+
+
+def _renumbered(face: Face, edge_id) -> Face:
+    """face with each step's edge replaced by edge_id[edge]."""
+    walk = tuple(Step(edge_id[st.edge], st.dir) for st in face.walk)
+    return Face(walk, face.label, face.start, face.orient)
 
 
 @dataclass(frozen=True)
 class SkeletonIndex:
-    """The 1-skeleton in canonical order: vertices sorted by _idkey, and for
-    each vertex position its (neighbour position, edge id) incidences with
-    edges in _idkey order, an edge (u, v) listed at u and then at v."""
+    """The 1-skeleton by vertex id: per vertex its (neighbour, edge id)
+    incidences in edge id order, an edge (u, v) listed at u and then at v."""
 
-    vertices: tuple
-    position: dict  # vertex id -> index into vertices
-    adj: tuple  # per vertex position: tuple of (neighbour position, edge id)
+    adj: tuple  # per vertex id: tuple of (neighbour id, edge id)
 
     @classmethod
     def build(cls, X: "SquareComplex") -> "SkeletonIndex":
-        verts = tuple(sorted(X.vertices, key=_idkey))
-        pos = {v: i for i, v in enumerate(verts)}
-        adj: list[list] = [[] for _ in verts]
-        for eid, (u, v) in sorted(X.edges.items(), key=lambda kv: _idkey(kv[0])):
-            adj[pos[u]].append((pos[v], eid))
-            adj[pos[v]].append((pos[u], eid))
-        return cls(verts, pos, tuple(map(tuple, adj)))
+        adj: list[list] = [[] for _ in X.vertices]
+        for eid, (u, v) in X.edges.items():
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+        return cls(tuple(map(tuple, adj)))
 
     def bfs(self, source: int) -> tuple[list, list]:
-        """Breadth-first search from a vertex position: per position the edge
-        distance (-1 when unreached) and the parent (position, edge id), which
-        is the first incidence in canonical order to reach it (None at the
-        source and when unreached)."""
-        dist = [-1] * len(self.vertices)
-        via: list = [None] * len(self.vertices)
+        """Breadth-first search from a vertex id: per vertex the edge
+        distance (-1 when unreached) and the parent (vertex, edge id), which
+        is the first incidence in id order to reach it (None at the source
+        and when unreached)."""
+        dist = [-1] * len(self.adj)
+        via: list = [None] * len(self.adj)
         dist[source] = 0
         queue = [source]
         for cur in queue:
@@ -256,26 +286,22 @@ def _idkey(x) -> tuple:
     return (type(x).__name__, repr(x))
 
 
-def generalized_boundary_length(Y: SquareComplex, face_ids: Iterable | None = None) -> int:
-    """sum_e (2 - deg(e)); may be negative, returned as-is. Over the whole
-    complex the degrees sum to 4|Y|, so it is 2|E| - 4|Y|.
-
-    With face_ids given, the measurement is of the subcomplex spanned by those
-    faces (only edges they touch are counted).
-    """
-    if face_ids is None:
-        return 2 * len(Y.edges) - 4 * len(Y.faces)
-    deg = Y.degrees(face_ids)
-    return sum(2 - d for d in deg.values())
+def ordered_names(names) -> tuple:
+    """Names in id order: by type name, then repr."""
+    return tuple(sorted(names, key=_idkey))
 
 
-def cancellation(Y: SquareComplex, face_ids: Iterable | None = None) -> int:
-    """sum_e (deg(e) - 1) over the same edge set as generalized_boundary_length.
-    Over the whole complex the degrees sum to 4|Y|, so it is 4|Y| - |E|."""
-    if face_ids is None:
-        return 4 * len(Y.faces) - len(Y.edges)
-    deg = Y.degrees(face_ids)
-    return sum(d - 1 for d in deg.values())
+def generalized_boundary_length(Y: SquareComplex) -> int:
+    """sum_e (2 - deg(e)); may be negative, returned as-is. The degrees sum
+    to 4|Y|, so it is 2|E| - 4|Y|. A face subset is measured on the
+    subcomplex it spans (SquareComplex.spanned)."""
+    return 2 * len(Y.edges) - 4 * len(Y.faces)
+
+
+def cancellation(Y: SquareComplex) -> int:
+    """sum_e (deg(e) - 1) over every edge; the degrees sum to 4|Y|, so it is
+    4|Y| - |E|."""
+    return 4 * len(Y.faces) - len(Y.edges)
 
 
 def slot_table(n_faces: int, idents, base=None):
@@ -314,19 +340,25 @@ def slot_table(n_faces: int, idents, base=None):
 
 # What build_quotient hands out, one object per value, so the many quotients
 # of an enumeration share them: (edge id, dir) -> Step, (walk, label) ->
-# Face, vertex count -> the vertex set {u0, u1, ...}, and prefix -> the id
-# strings by index
+# Face, and (vertex, edge, face) counts -> the name table and each kind's
+# ids by index (see _counted)
 _STEPS: dict = {}
 _FACES: dict = {}
-_VERTS: dict = {}
-_IDS: dict = {"e": [], "u": []}
+_COUNTED: dict = {}
 
 
-def _ids(prefix: str, n: int) -> list:
-    """The shared id strings prefix0, prefix1, ...: at least n of them."""
-    names = _IDS[prefix]
-    names.extend(f"{prefix}{i}" for i in range(len(names), n))
-    return names
+def _counted(n_vertices: int, n_edges: int, n_faces: int) -> tuple:
+    """(name table, vertex ids, edge ids, face ids) of a quotient with these
+    counts: names u0.., e0.. (interned strings) and 0.., and per kind the id
+    of each index, which is the index up to ten (e10 sorts before e2)."""
+    key = (n_vertices, n_edges, n_faces)
+    if key not in _COUNTED:
+        natural = ([sys.intern(f"u{i}") for i in range(n_vertices)],
+                   [sys.intern(f"e{i}") for i in range(n_edges)], list(range(n_faces)))
+        names = NameTable(*map(ordered_names, natural))
+        _COUNTED[key] = (names, *([kind.index(x) for x in xs]
+                                  for kind, xs in zip(names, natural)))
+    return _COUNTED[key]
 
 
 def build_quotient(n_faces: int, identifications,
@@ -343,6 +375,7 @@ def build_quotient(n_faces: int, identifications,
     slots. Corner c = 4f + j is the tail of slot j of face f; corners are
     united in identification order, each union keeping the first-named
     corner's root, and vertices are u0, u1, ... in the order of their roots.
+    Face f is named f. Ids follow the names (see _counted).
     """
     idents = list(identifications)
     table = slot_table(n_faces, idents)
@@ -373,15 +406,14 @@ def _quotient(n_faces: int, idents, table, labels) -> SquareComplex | None:
                         corner[z] = ra
 
     edge_roots = sorted(set(root))
-    edge_id = dict(zip(edge_roots, _ids("e", len(edge_roots))))
     vert_roots = sorted(set(corner))
-    vert_id = dict(zip(vert_roots, _ids("u", len(vert_roots))))
-    verts = _VERTS.get(len(vert_roots))
-    if verts is None:
-        verts = _VERTS[len(vert_roots)] = frozenset(vert_id.values())
-    edges = {edge_id[r]: (vert_id[corner[r]], vert_id[corner[head(r)]])
-             for r in edge_roots}
-    faces = {}
+    names, vert_ids, edge_ids, face_ids = _counted(
+        len(vert_roots), len(edge_roots), n_faces)
+    edge_id = dict(zip(edge_roots, edge_ids))
+    vert_id = dict(zip(vert_roots, vert_ids))
+    ends = sorted((edge_id[r], (vert_id[corner[r]], vert_id[corner[head(r)]]))
+                  for r in edge_roots)
+    faces: list = [None] * n_faces
     for f in range(n_faces):
         walk = []
         for x in range(4 * f, 4 * f + 4):
@@ -394,9 +426,9 @@ def _quotient(n_faces: int, idents, table, labels) -> SquareComplex | None:
         face = _FACES.get(key)
         if face is None:
             face = _FACES[key] = Face(*key)
-        faces[f] = face
+        faces[face_ids[f]] = face
     try:
-        return SquareComplex(verts, edges, faces)
+        return SquareComplex(names, dict(ends), dict(enumerate(faces)))
     except ComplexStructureError:
         return None
 
@@ -446,19 +478,18 @@ class GenIsoReport:
     face_count: int
 
 
-def check_generalized_iso(Y: SquareComplex, p: IsoParams,
-                          face_ids: Iterable | None = None) -> GenIsoReport:
+def check_generalized_iso(Y: SquareComplex, p: IsoParams) -> GenIsoReport:
     """Cancellation form is authoritative: violation iff Cancel(Y) > 4(d+eps)|Y|.
 
     The boundary-tilde form bt(Y) >= 4(1-2d-eps)|Y| is evaluated and reported
     but never decides the outcome (its eps-scaling differs from the
     cancellation form by a factor of two under the bt = 4|Y| - 2 Cancel
-    identity, so the two predicates are inequivalent for the same eps).
+    identity, so the two predicates are inequivalent for the same eps). A
+    face subset is checked on the subcomplex it spans.
     """
-    fids = list(face_ids) if face_ids is not None else list(Y.faces)
-    size = len(fids)
-    can = cancellation(Y, fids)
-    bt = generalized_boundary_length(Y, fids)
+    size = len(Y.faces)
+    can = cancellation(Y)
+    bt = generalized_boundary_length(Y)
     cancel_threshold = 4 * (p.d + p.eps) * size
     boundary_threshold = 4 * (1 - 2 * p.d - p.eps) * size
     return GenIsoReport(
@@ -478,26 +509,17 @@ def check_generalized_iso(Y: SquareComplex, p: IsoParams,
 def shared_edge_pairs(X: SquareComplex) -> tuple[list, list]:
     """(pairs sharing exactly 2 edges, pairs sharing >= 3 edges).
 
-    Shared-edge count is by distinct edge id. Pairs are (fid1, fid2, shared
-    edge tuple) with fid1 < fid2 in canonical order.
+    Shared-edge count is by distinct edge. Pairs are (fid1, fid2, shared
+    edge ids) with fid1 < fid2, in face id order, the shared edges in edge
+    id order.
     """
-    use: dict[Hashable, set] = {}
+    use: dict[int, set] = {}
     for fid, f in X.faces.items():
         for st in f.walk:
             use.setdefault(st.edge, set()).add(fid)
-    count: Counter = Counter()
-    for e, fids in use.items():
-        fl = sorted(fids, key=_idkey)
-        for i in range(len(fl)):
-            for j in range(i + 1, len(fl)):
-                count[(fl[i], fl[j])] += 1
-    strong, violating = [], []
-    for (f1, f2), c in sorted(count.items(), key=lambda kv: (_idkey(kv[0][0]), _idkey(kv[0][1]))):
-        if c < 2:
-            continue
-        shared = tuple(sorted((e for e, fs in use.items() if f1 in fs and f2 in fs), key=_idkey))
-        if c == 2:
-            strong.append((f1, f2, shared))
-        else:
-            violating.append((f1, f2, shared))
-    return strong, violating
+    shared: dict = {}
+    for e in sorted(use):
+        for pair in combinations(sorted(use[e]), 2):
+            shared.setdefault(pair, []).append(e)
+    pairs = sorted((f1, f2, tuple(edges)) for (f1, f2), edges in shared.items())
+    return ([p for p in pairs if len(p[2]) == 2], [p for p in pairs if len(p[2]) > 2])

@@ -146,13 +146,11 @@ def _label_strings(n: int):
     return out
 
 
-def _complete_specs(n_faces: int, work=None):
+def _complete_specs(n_faces: int, work: dict):
     """All connected fold-free signed slot partitions on n_faces squares,
     deduplicated; yields (key, idents, labels, table), where table is the
     slot table of idents as a pair of tuples, shared by every labeling of
-    one gluing and only read. Counts into work when given."""
-    if work is None:
-        work = dict.fromkeys(WORK_COUNTERS, 0)
+    one gluing and only read. Counts into work (see _new_keys)."""
     label_strings = _label_strings(n_faces)
     seen = set()
     for part in _set_partitions(list(range(4 * n_faces))):

@@ -3,22 +3,30 @@
 Small shapes (single square, shared-edge pairs) pin down the boundary/
 cancellation arithmetic; the larger ones (staircase, comparison patch, house,
 annulus, Z^2 ball) are the geometric configurations the wall machinery is
-exercised on. Vertex and edge ids are chosen so a fixture can be read off a
-drawing: grid edges are ("h", x, y) / ("v", x, y), staircase square i uses
-("ab", i) etc.
+exercised on. Names are chosen so a fixture can be read off a drawing: grid
+edges are ("h", x, y) / ("v", x, y), staircase square i uses ("ab", i) etc.
+Complexes are built from names; what a fixture returns beside its complex
+(paths, edge sets) is named too, and only diagram boundaries are in ids.
 """
 
 from __future__ import annotations
 
+import inspect
+
 from .complexes import Diagram, Face, SquareComplex, Step
+
+
+def _diagram(cx: SquareComplex, walk) -> Diagram:
+    """The diagram of cx bounded by a walk of steps along named edges."""
+    return Diagram(cx, tuple(Step(cx.ids.edges[st.edge], st.dir) for st in walk))
 
 
 def single_square() -> Diagram:
     """One square, 4 distinct edges, boundary = the attaching walk."""
     edges = {"ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d"), "da": ("d", "a")}
     walk = (Step("ab", 1), Step("bc", 1), Step("cd", 1), Step("da", 1))
-    cx = SquareComplex("abcd", edges, {"f": Face(walk, label=1)})
-    return Diagram(cx, walk)
+    cx = SquareComplex.named("abcd", edges, {"f": Face(walk, label=1)})
+    return _diagram(cx, walk)
 
 
 def edge_sharing_pair() -> SquareComplex:
@@ -26,28 +34,33 @@ def edge_sharing_pair() -> SquareComplex:
     return grid(2, 1).complex
 
 
-def strongly_adjacent_pair(label_a: int = 1, label_b: int = 2) -> SquareComplex:
-    """Square a-b-c-d split along the b-m-d path into two faces A, B.
-
-    A and B share the edges bm and md; m is the single internal vertex.
-    """
+def _split_square() -> tuple[dict, dict]:
+    """Named edges and faces of the square a-b-c-d split along the b-m-d
+    path into faces A (label 1) and B (label 2), which share bm and md."""
     edges = {
         "ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d"), "da": ("d", "a"),
         "bm": ("b", "m"), "md": ("m", "d"),
     }
     faces = {
-        "A": Face((Step("ab", 1), Step("bm", 1), Step("md", 1), Step("da", 1)),
-                  label=label_a),
-        "B": Face((Step("bc", 1), Step("cd", 1), Step("md", -1), Step("bm", -1)),
-                  label=label_b),
+        "A": Face((Step("ab", 1), Step("bm", 1), Step("md", 1), Step("da", 1)), label=1),
+        "B": Face((Step("bc", 1), Step("cd", 1), Step("md", -1), Step("bm", -1)), label=2),
     }
-    return SquareComplex("abcdm", edges, faces)
+    return edges, faces
+
+
+def strongly_adjacent_pair() -> SquareComplex:
+    """Square a-b-c-d split along the b-m-d path into two faces A, B.
+
+    A and B share the edges bm and md; m is the single internal vertex.
+    """
+    edges, faces = _split_square()
+    return SquareComplex.named("abcdm", edges, faces)
 
 
 def strongly_adjacent_diagram() -> Diagram:
     cx = strongly_adjacent_pair()
     walk = (Step("ab", 1), Step("bc", 1), Step("cd", 1), Step("da", 1))
-    return Diagram(cx, walk)
+    return _diagram(cx, walk)
 
 
 def three_sharing_pair() -> SquareComplex:
@@ -60,16 +73,16 @@ def three_sharing_pair() -> SquareComplex:
         "F": Face((Step("e1", 1), Step("e2", 1), Step("e3", 1), Step("f4", 1)), label=1),
         "G": Face((Step("e1", 1), Step("e2", 1), Step("e3", 1), Step("g4", 1)), label=2),
     }
-    return SquareComplex(["v0", "v1", "v2", "v3"], edges, faces)
+    return SquareComplex.named(["v0", "v1", "v2", "v3"], edges, faces)
 
 
 def three_sharing_diagram() -> Diagram:
     cx = three_sharing_pair()
-    return Diagram(cx, (Step("f4", 1), Step("g4", -1)))
+    return _diagram(cx, (Step("f4", 1), Step("g4", -1)))
 
 
-def grid(w: int, h: int) -> Diagram:
-    """w x h square grid with the counterclockwise perimeter as boundary."""
+def _grid_parts(w: int, h: int) -> tuple[list, dict, dict]:
+    """Named vertices, edges and faces of the w x h square grid."""
     if w < 1 or h < 1:
         raise ValueError("grid needs w, h >= 1")
     vertices = [(x, y) for x in range(w + 1) for y in range(h + 1)]
@@ -86,13 +99,19 @@ def grid(w: int, h: int) -> Diagram:
             walk = (Step(("h", x, y), 1), Step(("v", x + 1, y), 1),
                     Step(("h", x, y + 1), -1), Step(("v", x, y), -1))
             faces[("f", x, y)] = Face(walk, label=1)
+    return vertices, edges, faces
+
+
+def grid(w: int, h: int) -> Diagram:
+    """w x h square grid with the counterclockwise perimeter as boundary."""
+    cx = SquareComplex.named(*_grid_parts(w, h))
     boundary = (
         [Step(("h", x, 0), 1) for x in range(w)]
         + [Step(("v", w, y), 1) for y in range(h)]
         + [Step(("h", x, h), -1) for x in range(w - 1, -1, -1)]
         + [Step(("v", 0, y), -1) for y in range(h - 1, -1, -1)]
     )
-    return Diagram(SquareComplex(vertices, edges, faces), tuple(boundary))
+    return _diagram(cx, boundary)
 
 
 def annulus(k: int) -> SquareComplex:
@@ -114,7 +133,7 @@ def annulus(k: int) -> SquareComplex:
         walk = (Step(("in", j), 1), Step(("s", (j + 1) % k), 1),
                 Step(("out", j), -1), Step(("s", j), -1))
         faces[("q", j)] = Face(walk, label=1)
-    return SquareComplex(vertices, edges, faces)
+    return SquareComplex.named(vertices, edges, faces)
 
 
 def double_crossing() -> SquareComplex:
@@ -133,7 +152,7 @@ def double_crossing() -> SquareComplex:
         "F": Face((Step("e1", 1), Step("e3", 1), Step("e2", 1), Step("e4", 1)), label=1),
         "G": Face((Step("e2", 1), Step("g1", 1), Step("e3", 1), Step("g2", 1)), label=2),
     }
-    return SquareComplex(["p0", "p1", "p2", "p3"], edges, faces)
+    return SquareComplex.named(["p0", "p1", "p2", "p3"], edges, faces)
 
 
 def staircase(n: int):
@@ -167,7 +186,7 @@ def staircase(n: int):
         faces[("B", i)] = Face((Step(("bc", i), 1), Step(("cd", i), 1),
                                 Step(("md", i), -1), Step(("bm", i), -1)), label=2)
         gamma += [Step(("ab", i), 1), Step(("bc", i), 1)]
-    cx = SquareComplex(vertices, edges, faces)
+    cx = SquareComplex.named(vertices, edges, faces)
     return cx, tuple(gamma), ("k", 0), ("k", n)
 
 
@@ -176,7 +195,7 @@ def staircase_diagram(n: int) -> Diagram:
     back = []
     for i in range(n - 1, -1, -1):
         back += [Step(("cd", i), 1), Step(("da", i), 1)]
-    return Diagram(cx, tuple(gamma) + tuple(back))
+    return _diagram(cx, gamma + tuple(back))
 
 
 def comparison():
@@ -188,22 +207,19 @@ def comparison():
     of the wall through edge "da" (triples (edge, edge, face) with the two
     edges in sorted order).
     """
-    edges = {
-        "ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d"), "da": ("d", "a"),
-        "bm": ("b", "m"), "md": ("m", "d"),
+    edges, faces = _split_square()
+    edges.update({
         "l1a": ("l1", "a"), "dl2": ("d", "l2"), "l2l1": ("l2", "l1"),
         "br1": ("b", "r1"), "r1r2": ("r1", "r2"), "r2c": ("r2", "c"),
         "ct1": ("c", "t1"), "t1t2": ("t1", "t2"), "t2d": ("t2", "d"),
-    }
-    faces = {
-        "A": Face((Step("ab", 1), Step("bm", 1), Step("md", 1), Step("da", 1)), label=1),
-        "B": Face((Step("bc", 1), Step("cd", 1), Step("md", -1), Step("bm", -1)), label=2),
+    })
+    faces.update({
         "L": Face((Step("l1a", 1), Step("da", -1), Step("dl2", 1), Step("l2l1", 1)), label=3),
         "R": Face((Step("br1", 1), Step("r1r2", 1), Step("r2c", 1), Step("bc", -1)), label=4),
         "T": Face((Step("ct1", 1), Step("t1t2", 1), Step("t2d", 1), Step("cd", -1)), label=5),
-    }
+    })
     vertices = ["a", "b", "c", "d", "m", "l1", "l2", "r1", "r2", "t1", "t2"]
-    cx = SquareComplex(vertices, edges, faces)
+    cx = SquareComplex.named(vertices, edges, faces)
     expected = {
         "standard": frozenset({("da", "l2l1", "L"), ("bm", "da", "A"),
                                ("bm", "cd", "B"), ("cd", "t1t2", "T")}),
@@ -233,7 +249,7 @@ def house():
         "S2": Face((Step("ed", 1), Step("dc", 1), Step("cb", 1), Step("eb", -1)), label=2),
         "roof": Face((Step("aw", 1), Step("wc", 1), Step("cb", 1), Step("ba", 1)), label=3),
     }
-    cx = SquareComplex("abcdefw", edges, faces)
+    cx = SquareComplex.named("abcdefw", edges, faces)
     gamma = (Step("aw", 1), Step("wc", 1))
     return cx, gamma, frozenset({"af", "eb", "dc"})
 
@@ -242,7 +258,7 @@ def house_diagram() -> Diagram:
     cx, _gamma, _wall = house()
     boundary = (Step("fe", 1), Step("ed", 1), Step("dc", 1), Step("wc", -1),
                 Step("aw", -1), Step("af", 1))
-    return Diagram(cx, boundary)
+    return _diagram(cx, boundary)
 
 
 def three_roof():
@@ -252,14 +268,11 @@ def three_roof():
     Returns (complex, gamma): gamma = (0,1) -> w1 -> w2 -> (3,1), a geodesic
     (the top row also has length 3).
     """
-    base = grid(3, 1)
-    cx = base.complex
-    vertices = set(cx.vertices) | {"w1", "w2"}
-    edges = dict(cx.edges)
+    vertices, edges, faces = _grid_parts(3, 1)
     edges["roof0"] = ((0, 1), "w1")
     edges["roof1"] = ("w1", "w2")
     edges["roof2"] = ("w2", (3, 1))
-    out = SquareComplex(vertices, edges, dict(cx.faces))
+    out = SquareComplex.named(vertices + ["w1", "w2"], edges, faces)
     gamma = (Step("roof0", 1), Step("roof1", 1), Step("roof2", 1))
     return out, gamma
 
@@ -291,20 +304,18 @@ def z2_ball(r: int) -> SquareComplex:
             walk = (Step(("h", x, y), 1), Step(("v", x + 1, y), 1),
                     Step(("h", x, y + 1), -1), Step(("v", x, y), -1))
             faces[("f", x, y)] = Face(walk, label=1)
-    return SquareComplex(vertices, edges, faces)
+    return SquareComplex.named(vertices, edges, faces)
 
 
 def special_pairs() -> SquareComplex:
     """Strongly adjacent pair A/B plus a third face C carrying two edges of
     the pair's union boundary (the forbidden three-cell pattern)."""
-    base = strongly_adjacent_pair()
-    edges = dict(base.edges)
+    edges, faces = _split_square()
     edges["cq"] = ("c", "q")
     edges["qa"] = ("q", "a")
-    faces = dict(base.faces)
     faces["C"] = Face((Step("ab", 1), Step("bc", 1), Step("cq", 1), Step("qa", 1)),
                       label=3)
-    return SquareComplex(set(base.vertices) | {"q"}, edges, faces)
+    return SquareComplex.named("abcdmq", edges, faces)
 
 
 def horn_overlap():
@@ -313,25 +324,21 @@ def horn_overlap():
     measurement and serialization tests. Returns (ambient complex, the disc
     diagram of A and C).
     """
-    edges = {
-        "ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d"), "da": ("d", "a"),
-        "bm": ("b", "m"), "md": ("m", "d"),
-        "ae": ("a", "e"), "em2": ("e", "m2"), "m2d": ("m2", "d"), "ec": ("e", "c"),
-    }
-    faces = {
-        "A": Face((Step("ab", 1), Step("bm", 1), Step("md", 1), Step("da", 1)), label=1),
-        "B": Face((Step("bc", 1), Step("cd", 1), Step("md", -1), Step("bm", -1)), label=2),
+    edges, faces = _split_square()
+    edges.update({"ae": ("a", "e"), "em2": ("e", "m2"), "m2d": ("m2", "d"),
+                  "ec": ("e", "c")})
+    faces.update({
         "C": Face((Step("ae", 1), Step("em2", 1), Step("m2d", 1), Step("da", 1)), label=3),
         "E": Face((Step("ec", 1), Step("cd", 1), Step("m2d", -1), Step("em2", -1)), label=4),
-    }
-    ambient = SquareComplex(["a", "b", "c", "d", "e", "m", "m2"], edges, faces)
+    })
+    ambient = SquareComplex.named(["a", "b", "c", "d", "e", "m", "m2"], edges, faces)
     base_faces = {"A": faces["A"], "C": faces["C"]}
     base_edges = {e: edges[e] for e in
                   ["ab", "bm", "md", "da", "ae", "em2", "m2d"]}
-    base_cx = SquareComplex(["a", "b", "d", "e", "m", "m2"], base_edges, base_faces)
+    base_cx = SquareComplex.named(["a", "b", "d", "e", "m", "m2"], base_edges, base_faces)
     boundary = (Step("ab", 1), Step("bm", 1), Step("md", 1), Step("m2d", -1),
                 Step("em2", -1), Step("ae", -1))
-    return ambient, Diagram(base_cx, boundary)
+    return ambient, _diagram(base_cx, boundary)
 
 
 def planar_fixtures() -> list:
@@ -352,16 +359,20 @@ def planar_fixtures() -> list:
 
 
 REGISTRY = {
-    "z2": lambda radius=5, **kw: z2_ball(radius),
-    "staircase": lambda length=8, **kw: staircase(length)[0],
-    "comparison": lambda **kw: comparison()[0],
-    "annulus": lambda k=4, **kw: annulus(k),
-    "house": lambda **kw: house()[0],
-    "special-pairs": lambda **kw: special_pairs(),
+    "z2": lambda radius=5: z2_ball(radius),
+    "staircase": lambda length=8: staircase(length)[0],
+    "comparison": lambda: comparison()[0],
+    "annulus": lambda k=4: annulus(k),
+    "house": lambda: house()[0],
+    "special-pairs": special_pairs,
 }
 
 
 def make_fixture(name: str, **kwargs) -> SquareComplex:
+    """The named fixture; a parameter it does not read is a ValueError."""
     if name not in REGISTRY:
         raise KeyError(f"unknown fixture {name!r}; known: {sorted(REGISTRY)}")
+    unread = set(kwargs) - set(inspect.signature(REGISTRY[name]).parameters)
+    if unread:
+        raise ValueError(f"fixture {name!r} does not take {', '.join(sorted(unread))}")
     return REGISTRY[name](**kwargs)

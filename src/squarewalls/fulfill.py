@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .complexes import SquareComplex, _idkey, cancellation
+from .complexes import SquareComplex, cancellation
 from .presentation import (
     Word,
     enumerate_cyclically_reduced,
@@ -65,7 +65,8 @@ class AbstractComplex:
         seen = set()
         for fid, f in self.base.faces.items():
             if not isinstance(f.label, int) or not 1 <= f.label <= self.n_labels:
-                raise FulfillError(f"face {fid!r} label {f.label!r} out of range")
+                raise FulfillError(f"face {self.base.names.faces[fid]!r} label "
+                                   f"{f.label!r} out of range")
             seen.add(f.label)
         if seen != set(range(1, self.n_labels + 1)):
             raise FulfillError("every label in 1..n_labels must be used")
@@ -105,8 +106,7 @@ class AbstractComplex:
     def slot_incidences(self) -> dict:
         """edge -> list of (face id, slot, position, sign, label), sorted."""
         out: dict = {}
-        for fid in sorted(self.base.faces, key=_idkey):
-            f = self.base.faces[fid]
+        for fid, f in self.base.faces.items():
             for j, st in enumerate(f.walk):
                 k = f.position_of_slot(j)
                 out.setdefault(st.edge, []).append((fid, j, k, st.dir * f.orient, f.label))
@@ -145,7 +145,8 @@ def kappa(Y: AbstractComplex) -> FulfillStats:
         keys = [((rank[lab], k), fid) for fid, _j, k, _s, lab in inc]
         pairs = [key for key, _fid in keys]
         if len(set(pairs)) != len(pairs):
-            raise FulfillError(f"edge {edge!r} repeats a (label, position) incidence")
+            raise FulfillError(f"edge {Y.base.names.edges[edge]!r} repeats a "
+                              f"(label, position) incidence")
         if len(keys) < 2:
             continue
         lo = min(pairs)

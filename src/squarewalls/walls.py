@@ -9,19 +9,18 @@ shared edge with the adjacent non-shared edge that is not opposite to it.
 This module paints strongly adjacent pairs, traces hypergraphs of all three
 kinds, tests embeddedness (tree-ness), extracts collared diagrams from
 non-tree witnesses, computes complement side maps and the wall pseudometric,
-and checks the distance lower bound and geodesic windows. Paths are given
-as sequences of edge ids, and vertices by their ids in the complex; since
-every complex is connected, an id the complex lacks is the only way a
-distance lookup can fail (KeyError).
+and checks the distance lower bound and geodesic windows. It works on the
+complex's ids, which follow its names, so sorted ids are sorted names and a
+side map is a list by vertex id. Only check_window_crossing takes names (a
+geodesic of edge names), and error messages name faces by name.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .complexes import SquareComplex, _idkey, shared_edge_pairs
+from .complexes import SquareComplex, shared_edge_pairs
 
 KINDS = ("standard", "red", "blue")
 
@@ -44,22 +43,9 @@ class ExtractionFailed(RuntimeError):
 @dataclass(frozen=True)
 class PaintedComplex:
     base: SquareComplex
-    pairs: tuple  # (face, face, shared edge ids), in canonical face order
-    colors: dict  # face id -> "red" | "blue" | "regular"
-
-    def partner(self, fid):
-        for f1, f2, _shared in self.pairs:
-            if fid == f1:
-                return f2
-            if fid == f2:
-                return f1
-        return None
-
-    def shared_edges(self, fid):
-        for f1, f2, shared in self.pairs:
-            if fid in (f1, f2):
-                return shared
-        return ()
+    pairs: tuple  # (face, face, shared edge ids), in face id order
+    colors: tuple  # per face id: "red" | "blue" | "regular"
+    mates: dict  # paired face id -> (partner face id, shared edge ids)
 
 
 def paint(X: SquareComplex) -> PaintedComplex:
@@ -73,12 +59,13 @@ def paint(X: SquareComplex) -> PaintedComplex:
     and the rest stay regular.
     """
     cand, _violations = shared_edge_pairs(X)
-    matched: set = set()
+    name = X.names.faces
+    mates: dict = {}
     pairs = []
     for f1, f2, shared in cand:
-        if f1 in matched or f2 in matched:
+        if f1 in mates or f2 in mates:
             continue
-        matched.update((f1, f2))
+        mates[f1], mates[f2] = (f2, shared), (f1, shared)
         pairs.append((f1, f2, shared))
     label_color: dict = {}
     for f1, f2, _shared in pairs:
@@ -86,20 +73,18 @@ def paint(X: SquareComplex) -> PaintedComplex:
         for fid in (f1, f2):
             face = X.faces[fid]
             if face.label is None:
-                raise PaintingConflict(f"distinguished face {fid!r} has no label")
+                raise PaintingConflict(f"distinguished face {name[fid]!r} has no label")
             keys.append((face.label, face.start, face.orient))
         if keys[0] == keys[1]:
-            raise PaintingConflict(f"pair {f1!r},{f2!r} has equal painting keys")
+            raise PaintingConflict(f"pair {name[f1]!r},{name[f2]!r} has equal painting keys")
         red, blue = (f1, f2) if keys[0] < keys[1] else (f2, f1)
         for fid, color in ((red, "red"), (blue, "blue")):
             lab = X.faces[fid].label
             if label_color.setdefault(lab, color) != color:
                 raise PaintingConflict(
                     f"label {lab!r} forced both {label_color[lab]} and {color}")
-    colors = {}
-    for fid, face in X.faces.items():
-        colors[fid] = label_color.get(face.label, "regular")
-    return PaintedComplex(X, tuple(pairs), colors)
+    colors = tuple(label_color.get(face.label, "regular") for face in X.faces.values())
+    return PaintedComplex(X, tuple(pairs), colors, mates)
 
 
 # -- hypergraph tracing -----------------------------------------------------------
@@ -116,7 +101,7 @@ def _find(parent: dict, x):
 @dataclass(frozen=True)
 class Hypergraph:
     kind: str
-    edges: tuple  # segments (edge, edge, face), each canonically sorted
+    edges: tuple  # segments (edge, edge, face), the edges in order, sorted
     vertices: frozenset  # complex-edge ids the wall is dual to
     carrier: frozenset  # face ids the wall passes through
 
@@ -127,17 +112,18 @@ def _face_segments(painted: PaintedComplex, fid, kind):
     walk_edges = [st.edge for st in face.walk]
     # The turn rule needs the pair's shared edges, so a face that only
     # inherited its color from a label has no turn: it traces standard.
-    if (kind != "standard" and painted.colors.get(fid) == kind
-            and painted.partner(fid) is not None):
-        shared = set(painted.shared_edges(fid))
+    if (kind != "standard" and painted.colors[fid] == kind
+            and fid in painted.mates):
+        shared = set(painted.mates[fid][1])
+        name = painted.base.names.faces[fid]
         dist_slots = [j for j, e in enumerate(walk_edges) if e in shared]
         if len(dist_slots) != 2:
             raise TracingError(
-                f"face {fid!r}: expected 2 distinguished slots, got {dist_slots}")
+                f"face {name!r}: expected 2 distinguished slots, got {dist_slots}")
         a, b = dist_slots
         if (a - b) % 4 == 2:
             raise TracingError(
-                f"face {fid!r} shares opposite edges; turn pairing undefined")
+                f"face {name!r} shares opposite edges; turn pairing undefined")
         segs = []
         other = [j for j in range(4) if j not in dist_slots]
         for j in dist_slots:
@@ -153,10 +139,9 @@ def trace_hypergraphs(painted: PaintedComplex, kind: str) -> list[Hypergraph]:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     segments = []
-    for fid in sorted(painted.base.faces, key=_idkey):
+    for fid in painted.base.faces:
         for e1, e2 in _face_segments(painted, fid, kind):
-            a, b = sorted((e1, e2), key=_idkey)
-            segments.append((a, b, fid))
+            segments.append((min(e1, e2), max(e1, e2), fid))
     parent: dict = {}
     for a, b, _f in segments:
         parent[_find(parent, a)] = _find(parent, b)
@@ -164,8 +149,8 @@ def trace_hypergraphs(painted: PaintedComplex, kind: str) -> list[Hypergraph]:
     for seg in segments:
         groups.setdefault(_find(parent, seg[0]), []).append(seg)
     out = []
-    for root in sorted(groups, key=_idkey):
-        segs = sorted(groups[root], key=lambda s: (_idkey(s[0]), _idkey(s[1]), _idkey(s[2])))
+    for root in sorted(groups):
+        segs = sorted(groups[root])
         verts = frozenset(x for s in segs for x in s[:2])
         out.append(Hypergraph(kind, tuple(segs), verts,
                               frozenset(s[2] for s in segs)))
@@ -192,9 +177,9 @@ def is_embedded_tree(H: Hypergraph) -> TreeReport:
     """Tree iff no face carries two segments and the segment graph is
     acyclic; the repeated-face condition is checked first."""
     by_face = Counter(s[2] for s in H.edges)
-    repeated = sorted((f for f, c in by_face.items() if c > 1), key=_idkey)
+    repeated = [f for f, c in by_face.items() if c > 1]
     if repeated:
-        f = repeated[0]
+        f = min(repeated)
         segs = tuple(s for s in H.edges if s[2] == f)
         return TreeReport(False, TreeWitness("repeated-face", f, segs))
     adj: dict = {v: [] for v in H.vertices}
@@ -249,22 +234,13 @@ class CollaredDiagram:
     l: int  # number of distinct complex edges lam crosses
 
 
-def _subcomplex(X: SquareComplex, face_ids) -> SquareComplex:
-    edges = {}
-    verts = set()
-    for fid in face_ids:
-        for st in X.faces[fid].walk:
-            edges[st.edge] = X.edges[st.edge]
-    for u, v in edges.values():
-        verts.update((u, v))
-    return SquareComplex(verts, edges, {f: X.faces[f] for f in face_ids})
-
-
 def extract_collared_diagram(H: Hypergraph, painted: PaintedComplex,
                              witness: TreeWitness | None = None) -> CollaredDiagram:
     """Build the diagram collared by the witness's wall segment: carrier
     faces along the segment, plus horn partners for distinguished carrier
-    faces whose partner the segment leaves out."""
+    faces whose partner the segment leaves out. lam, corner and horns use
+    the ids of the painted complex; the diagram's complex is the subcomplex
+    they span, numbered afresh."""
     if witness is None:
         rep = is_embedded_tree(H)
         if rep.tree:
@@ -293,24 +269,23 @@ def extract_collared_diagram(H: Hypergraph, painted: PaintedComplex,
     by_face = Counter(s[2] for s in lam)
     for f, c in by_face.items():
         if f != corner and c > 1:
-            raise ExtractionFailed(f"segment passes non-corner face {f!r} twice")
+            raise ExtractionFailed(f"segment passes non-corner face {X.names.faces[f]!r} twice")
     if len(lam) < 2:
         raise ExtractionFailed("collaring segment shorter than 2")
     carrier = set(faces)
-    sub0 = _subcomplex(X, faces)
-    deg0 = sub0.degrees()
+    deg0 = Counter(st.edge for fid in faces for st in X.faces[fid].walk)
     if corner is not None:
         if not any(deg0[st.edge] == 1 for st in X.faces[corner].walk):
             raise ExtractionFailed("corner face is not external in the carrier")
     for fid in carrier:
-        if not any(deg0[st.edge] == 1 for st in sub0.faces[fid].walk):
-            raise ExtractionFailed(f"carrier face {fid!r} is internal")
+        if not any(deg0[st.edge] == 1 for st in X.faces[fid].walk):
+            raise ExtractionFailed(f"carrier face {X.names.faces[fid]!r} is internal")
     horns = []
-    for fid in sorted(carrier, key=_idkey):
-        partner = painted.partner(fid)
-        if partner is not None and partner not in carrier:
-            horns.append((partner, fid))
-    sub = _subcomplex(X, faces + [p for p, _b in horns])
+    for fid in sorted(carrier):
+        mate = painted.mates.get(fid)
+        if mate is not None and mate[0] not in carrier:
+            horns.append((mate[0], fid))
+    sub = X.spanned(faces + [p for p, _b in horns])
     return CollaredDiagram(
         complex=sub,
         lam=tuple(lam),
@@ -361,7 +336,7 @@ def _collaring_path(H: Hypergraph, first, last, corner):
 @dataclass(frozen=True)
 class ComplementReport:
     count: int
-    sides: dict  # vertex -> component index
+    sides: list  # per vertex id: its component index
     boundary_open: bool
 
 
@@ -372,8 +347,8 @@ def complement_components(X: SquareComplex, H: Hypergraph) -> ComplementReport:
     face slot ends exactly one segment under every kind, and all segments at
     an edge lie in its wall, so an edge's endpoint count in H.edges is its
     degree."""
-    idx = X.skeleton
-    side = [-1] * len(idx.vertices)
+    adj = X.skeleton.adj
+    side = [-1] * len(adj)
     count = 0
     for v0 in range(len(side)):
         if side[v0] >= 0:
@@ -382,14 +357,14 @@ def complement_components(X: SquareComplex, H: Hypergraph) -> ComplementReport:
         stack = [v0]
         while stack:
             x = stack.pop()
-            for y, eid in idx.adj[x]:
+            for y, eid in adj[x]:
                 if side[y] < 0 and eid not in H.vertices:
                     side[y] = count
                     stack.append(y)
         count += 1
     ends = Counter(x for seg in H.edges for x in seg[:2])
     boundary_open = any(c < 2 for c in ends.values())
-    return ComplementReport(count, dict(zip(idx.vertices, side)), boundary_open)
+    return ComplementReport(count, side, boundary_open)
 
 
 @dataclass(frozen=True)
@@ -422,32 +397,21 @@ def wall_distance(W: WallDecomposition, x, y) -> int:
     return sum(1 for rep in W.reports if rep.sides[x] != rep.sides[y])
 
 
-class BFSTree(Mapping):
-    """Breadth-first tree of the 1-skeleton from one source, over the
-    complex's canonical index: maps every vertex to its edge distance and
-    yields the deterministic geodesic to it. Every complex is connected, so
-    every vertex is reached; an id not in the complex raises KeyError."""
+class BFSTree:
+    """Breadth-first tree of the 1-skeleton from one source vertex: dist
+    lists every vertex's edge distance by id, and geodesic yields the
+    deterministic shortest path to a vertex. Every complex is connected, so
+    every vertex is reached."""
 
-    def __init__(self, X: SquareComplex, source):
+    def __init__(self, X: SquareComplex, source: int):
         self.source = source
-        self._index = X.skeleton
-        self._dist, self._via = self._index.bfs(self._index.position[source])
+        self.dist, self._via = X.skeleton.bfs(source)
 
-    def __getitem__(self, v) -> int:
-        return self._dist[self._index.position[v]]
-
-    def __iter__(self):
-        return iter(self._index.vertices)
-
-    def __len__(self) -> int:
-        return len(self._index.vertices)
-
-    def geodesic(self, y):
+    def geodesic(self, y: int):
         """(distance, edge ids of the deterministic shortest path to y)."""
-        i = self._index.position[y]
         path = []
-        while self._via[i] is not None:
-            i, eid = self._via[i]
+        while self._via[y] is not None:
+            y, eid = self._via[y]
             path.append(eid)
         path.reverse()
         return len(path), path
@@ -495,7 +459,7 @@ def check_wall_lower_bound(W: WallDecomposition, X: SquareComplex,
     for x, y in pairs:
         if tree is None or tree.source != x:
             tree = bfs_distances(X, x)
-        d_edge = tree[y]
+        d_edge = tree.dist[y]
         d_wall = wall_distance(W, x, y)
         bound = d_edge // 15
         if d_wall >= bound:
@@ -515,28 +479,20 @@ MIN_GEODESIC = 21
 
 
 def _chain_vertices(X: SquareComplex, edge_path):
-    """Vertex sequence of an edge path, resolving direction from chaining."""
+    """Vertex sequence of an edge path, leaving the first edge at its source
+    when the path chains that way and at its target otherwise."""
     if not edge_path:
         raise ValueError("empty path")
-    if len(edge_path) == 1:
-        return list(X.edges[edge_path[0]])
-    first = X.edges[edge_path[0]]
-    second = set(X.edges[edge_path[1]])
-    if first[1] in second:
-        verts = [first[0], first[1]]
-    elif first[0] in second:
-        verts = [first[1], first[0]]
-    else:
-        raise ValueError("path edges do not chain")
-    for eid in edge_path[1:]:
-        u, v = X.edges[eid]
-        if verts[-1] == u:
-            verts.append(v)
-        elif verts[-1] == v:
-            verts.append(u)
+    for start in X.edges[edge_path[0]]:
+        verts = [start]
+        for eid in edge_path:
+            u, v = X.edges[eid]
+            if verts[-1] not in (u, v):
+                break
+            verts.append(v if verts[-1] == u else u)
         else:
-            raise ValueError("path edges do not chain")
-    return verts
+            return verts
+    raise ValueError("path edges do not chain")
 
 
 @dataclass(frozen=True)
@@ -552,13 +508,14 @@ class WindowReport:
 def check_window_crossing(X: SquareComplex, W: WallDecomposition,
                           gamma) -> WindowReport:
     """For every window of 15 consecutive geodesic edges of gamma, a
-    sequence of edge ids: does some wall cross the geodesic exactly once, at
-    an edge of that window? Failures become indeterminate when a wall
+    sequence of edge names: does some wall cross the geodesic exactly once,
+    at an edge of that window? Failures become indeterminate when a wall
     crossing the window lacks a two-sided complement."""
     if len(gamma) < MIN_GEODESIC:
         raise ValueError(f"geodesic must have at least {MIN_GEODESIC} edges")
+    gamma = [X.ids.edges[e] for e in gamma]
     verts = _chain_vertices(X, gamma)
-    if bfs_distances(X, verts[0])[verts[-1]] != len(gamma):
+    if bfs_distances(X, verts[0]).dist[verts[-1]] != len(gamma):
         raise ValueError("path is not a geodesic")
     gset = set(gamma)
     single = []  # (crossing edge, wall index) for walls crossing exactly once

@@ -302,7 +302,7 @@ def test_criterion_04_grid_end_to_end():
     dists = {v: bfs_distances(cx, v) for v in verts}
     pairs = list(combinations(verts, 2))
     mismatched = [(x, y) for x, y in pairs
-                  if wall_distance(W, x, y) != dists[x][y]]
+                  if wall_distance(W, x, y) != dists[x].dist[y]]
     # d_wall == d_edge exactly on cell-supported pairs; the four rim apexes
     # sit on no 2-cell, their incident edges are crossed by no wall, and
     # every defective pair involves one of them
@@ -317,7 +317,7 @@ def test_criterion_04_grid_end_to_end():
     # the window clause is exercised on the radius-11 ball instead
     grid = z2_ball(11)
     WG = wall_decomposition(paint(grid))
-    gverts = sorted(grid.vertices)
+    gverts = sorted(grid.names.vertices)
     far = [(u, v) for u, v in combinations(gverts, 2)
            if abs(u[0] - v[0]) + abs(u[1] - v[1]) >= 21]
     assert len(far) == 810
@@ -345,8 +345,10 @@ def test_criterion_04_grid_end_to_end():
 
 
 def _all_geodesics(cx, x, y, cap):
-    adj = {v: [] for v in cx.vertices}
-    for eid, (u, v) in sorted(cx.edges.items()):
+    """Up to cap geodesics from vertex name x to y, as edge-name tuples."""
+    vn, en, _fn = cx.names
+    adj = {v: [] for v in vn}
+    for eid, (u, v) in sorted((en[e], (vn[s], vn[d])) for e, (s, d) in cx.edges.items()):
         adj[u].append((v, eid))
         adj[v].append((u, eid))
     dist = {x: 0}
@@ -379,6 +381,7 @@ def _all_geodesics(cx, x, y, cap):
 def test_criterion_05_staircase_motivation():
     t0 = time.perf_counter()
     cx, _gamma, x, y = staircase(8)
+    x, y = cx.ids.vertices[x], cx.ids.vertices[y]
     W = wall_decomposition(paint(cx), kinds=("standard",))
     assert wall_distance(W, x, y) == 0
     (report,) = check_wall_lower_bound(W, cx, [(x, y)])
@@ -397,10 +400,12 @@ def test_criterion_06_comparison_routes():
     cx, expected = comparison()
     painted = paint(cx)
     sizes = {}
+    _vn, en, fn = cx.names
     for kind in ("standard", "red", "blue"):
         H = next(H for H in trace_hypergraphs(painted, kind)
-                 if "da" in H.vertices)
-        assert frozenset(H.edges) == expected[kind], kind
+                 if cx.ids.edges["da"] in H.vertices)
+        assert frozenset((en[a], en[b], fn[f]) for a, b, f in H.edges) \
+            == expected[kind], kind
         sizes[kind] = len(H.edges)
     elapsed = time.perf_counter() - t0
     verdict(6, True, "comparison-routes",
@@ -414,7 +419,7 @@ def test_criterion_07_annulus_collar():
     cx = annulus(4)
     painted = paint(cx)
     circ = next(H for H in trace_hypergraphs(painted, "standard")
-                if ("s", 0) in H.vertices)
+                if cx.ids.edges[("s", 0)] in H.vertices)
     rep = is_embedded_tree(circ)
     assert not rep.tree
     assert rep.witness.kind == "cycle"
@@ -598,7 +603,7 @@ def test_criterion_13_cli_determinism(tmp_path):
     pres = tmp_path / "pres.json"
     pres.write_text(TORUS.to_json())
     shape = tmp_path / "shape.json"
-    square = SquareComplex(
+    square = SquareComplex.named(
         ["p", "q", "r", "s"],
         {"a": ("p", "q"), "b": ("q", "r"), "c": ("r", "s"), "d": ("s", "p")},
         {0: Face((Step("a", 1), Step("b", 1), Step("c", 1), Step("d", 1)),

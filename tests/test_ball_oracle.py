@@ -237,9 +237,10 @@ def test_complete_flags_match_incident_face_count(P, radius, monkeypatch):
         for st in f.walk:
             for u in ball.base.edges[st.edge]:
                 corners.setdefault(u, set()).add(fid)
-    for w, flag in ball.complete.items():
+    for v, flag in ball.complete.items():
+        w = ball.base.names.vertices[v]
         x = find(0)
         for l in w:
             x = neighbor(x, l)
-        present = len(corners.get(w, ()))
+        present = len(corners.get(v, ()))
         assert flag == (present == _incident_face_count(P, x, neighbor, find)), w

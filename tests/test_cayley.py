@@ -191,16 +191,22 @@ def test_constructed_equalities_are_proved():
         assert abelian_consistent(P, u, v)
 
 
+def named_edges(X) -> dict:
+    """X's edges by name: edge (w, a) -> (w, the word of w·a)."""
+    vn, en, _fn = X.names
+    return {en[e]: (vn[s], vn[d]) for e, (s, d) in X.edges.items()}
+
+
 def test_ball_radius_zero():
     b = build_ball(TORUS, 0)
-    assert list(b.base.vertices) == [()]
+    assert list(b.base.names.vertices) == [()]
     assert b.base.edges == {} and b.base.faces == {}
-    assert b.complete == {(): False}
+    assert b.complete == {b.base.ids.vertices[()]: False}
 
 
 def test_torus_small_radii():
     b = build_ball(TORUS, 1)
-    assert sorted(b.base.vertices) == [(), (-2,), (-1,), (1,), (2,)]
+    assert sorted(b.base.names.vertices) == [(), (-2,), (-1,), (1,), (2,)]
     assert len(b.base.edges) == 4
     assert len(b.base.faces) == 0
     for rad in range(1, 5):
@@ -216,7 +222,8 @@ def test_torus_ball_matches_grid_fixture():
     assert len(b.base.faces) == len(Z.faces)
     # interior vertices carry all four squares; that is exactly the 3-ball
     assert sum(b.complete.values()) == 25
-    assert b.complete[()] and not b.complete[(1,) * 5]
+    w = b.base.ids.vertices
+    assert b.complete[w[()]] and not b.complete[w[(1,) * 5]]
 
 
 def test_face_walks_read_the_relator():
@@ -226,7 +233,7 @@ def test_face_walks_read_the_relator():
         relator = TORUS.relators[f.label - 1]
         word = [0] * 4
         for j, st in enumerate(f.walk):
-            letter = st.edge[1] * st.dir
+            letter = b.base.names.edges[st.edge][1] * st.dir
             word[f.position_of_slot(j)] = letter
         assert tuple(word) == relator
         # walk chains around the square
@@ -237,9 +244,9 @@ def test_face_walks_read_the_relator():
 
 def test_ball_monotone_in_radius():
     small, big = build_ball(TORUS, 2), build_ball(TORUS, 3)
-    assert set(small.base.vertices) <= set(big.base.vertices)
-    assert set(small.base.edges) <= set(big.base.edges)
-    sig = lambda X: {(f.label, tuple((st.edge, st.dir) for st in f.walk))
+    assert set(small.base.names.vertices) <= set(big.base.names.vertices)
+    assert set(small.base.names.edges) <= set(big.base.names.edges)
+    sig = lambda X: {(f.label, tuple((X.names.edges[st.edge], st.dir) for st in f.walk))
                      for f in X.faces.values()}
     assert sig(small.base) <= sig(big.base)
 
@@ -262,7 +269,7 @@ def test_sampled_ball_agrees_with_word_prover():
     gens = sorted(alphabet(5), key=letter_key)
     words = [(g, h) for g in gens for h in gens if h != -g]
     moves = {}  # (vertex, letter) -> vertex, read off the ball's edges
-    for (_w, a), (src, dst) in b.base.edges.items():
+    for (_w, a), (src, dst) in named_edges(b.base).items():
         moves[(src, a)] = dst
         moves[(dst, -a)] = src
     merged = []
@@ -281,7 +288,7 @@ def test_sampled_ball_agrees_with_word_prover():
     # the other 18 identities need diagrams beyond the contract's area cap
     assert proved == 18
     rng = random.Random(7)
-    verts = sorted(b.base.vertices)
+    verts = sorted(b.base.names.vertices)
     for _ in range(4):
         u, v = rng.sample(verts, 2)
         assert words_equal(P5, u, v).status != "equal"
@@ -293,7 +300,7 @@ def test_distinct_only_with_a_lattice_certificate():
     P = sample_presentation(5, 0.15, 1)
     b = build_ball(P, 2)
     statuses = {}
-    for (w, g), (_src, dst) in b.base.edges.items():
+    for (w, g), (_src, dst) in named_edges(b.base).items():
         u = w + (g,)
         if free_reduce(u) != dst:
             r = words_equal(P, u, dst)
@@ -303,7 +310,7 @@ def test_distinct_only_with_a_lattice_certificate():
     assert statuses == {"equal": 13, "undecided": 7}
     # pairs of ball vertices: distinct exactly when the abelianizations differ
     rng = random.Random(2)
-    verts = sorted(b.base.vertices)
+    verts = sorted(b.base.names.vertices)
     verdicts = set()
     for _ in range(12):
         u, v = rng.sample(verts, 2)
@@ -408,12 +415,12 @@ def test_closing_test_matches_full_expansion(rank, density, seed, radius):
     P = sample_presentation(rank, density, seed)
     b = build_ball(P, radius)
     pairs = []
-    for (w, g), (_src, dst) in sorted(b.base.edges.items()):
+    for (w, g), (_src, dst) in sorted(named_edges(b.base).items()):
         u = free_reduce(w + (g,))
         if u != dst:
             pairs.append((u, dst))
     rng = random.Random(seed)
-    verts = sorted(b.base.vertices)
+    verts = sorted(b.base.names.vertices)
     pairs += [tuple(rng.sample(verts, 2)) for _ in range(30)]
     for u, v in pairs:
         got, want = words_equal(P, u, v), oracle_words_equal(P, u, v)

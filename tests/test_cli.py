@@ -111,7 +111,7 @@ def test_wall_metric_grid_csv(tmp_path):
     parsed = list(csv.reader(io.StringIO("\n".join(rows))))
     assert len(parsed) == 25 * 24 // 2
     assert all(r[5] == "pass" for r in parsed)
-    supported = {v for v in make_fixture("z2", radius=3).vertices
+    supported = {v for v in make_fixture("z2", radius=3).names.vertices
                  if abs(v[0]) + abs(v[1]) < 3}
     for x, y, d_edge, d_wall, _b, _s in parsed:
         if tuple(json.loads(x)) in supported and tuple(json.loads(y)) in supported:
@@ -167,7 +167,7 @@ def test_windows_unknown_vertex_is_usage_error(src, dst, message, tmp_path, caps
 
 
 def test_fulfill_mc_cli(tmp_path):
-    cx = SquareComplex(
+    cx = SquareComplex.named(
         ["p", "q", "r", "s"],
         {"a": ("p", "q"), "b": ("q", "r"), "c": ("r", "s"), "d": ("s", "p")},
         {0: Face((Step("a", 1), Step("b", 1), Step("c", 1), Step("d", 1)),
@@ -344,9 +344,15 @@ def test_tracing_error_reported_not_raised(tmp_path):
     ["sample", "--rank", "0", "--density", "0.3"],
     ["fulfill-mc", "--in", "shape.json", "--rank", "2", "--density", "0.25",
      "--trials", "50"],
+    ["ball", "--radius", "1", "--hard-cap", "-5"],
+    # a fixture refuses the parameters it does not read
+    ["walls", "--fixture", "house", "--radius", "3"],
+    ["walls", "--fixture", "comparison", "--length", "4"],
+    ["wall-metric", "--fixture", "z2", "--k", "3"],
 ], ids=["walls-radius-0", "ball-radius-negative", "enumerate-faces-6",
         "scan-iso-faces-0", "sample-density-0", "sample-rank-0",
-        "fulfill-mc-trials-50"])
+        "fulfill-mc-trials-50", "ball-hard-cap-negative", "walls-house-radius",
+        "walls-comparison-length", "wall-metric-z2-k"])
 def test_bad_values_are_usage_errors(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(["fixtures", "--name", "house", "--out", "shape.json"]) == 0

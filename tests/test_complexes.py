@@ -13,6 +13,7 @@ from squarewalls.complexes import (
     IsoParams,
     SquareComplex,
     Step,
+    _idkey,
     build_quotient,
     cancellation,
     check_generalized_iso,
@@ -70,15 +71,20 @@ def test_identity_on_fixtures():
         assert bt % 2 == 0, name
 
 
+def spanned(cx, face_names):
+    """The subcomplex spanned by the named faces."""
+    return cx.spanned(cx.ids.faces[f] for f in face_names)
+
+
 def test_face_subset_measurement():
     cx = fixtures.strongly_adjacent_pair()
-    assert generalized_boundary_length(cx, ["A"]) == 4
-    assert cancellation(cx, ["A"]) == 0
-    assert generalized_boundary_length(cx, ["A", "B"]) == 4
+    assert generalized_boundary_length(spanned(cx, ["A"])) == 4
+    assert cancellation(spanned(cx, ["A"])) == 0
+    assert generalized_boundary_length(spanned(cx, ["A", "B"])) == 4
     ball = fixtures.z2_ball(2)
-    sub = [("f", 0, 0), ("f", 0, -1)]  # two faces sharing one edge
-    assert generalized_boundary_length(ball, sub) == 6
-    assert cancellation(ball, sub) == 1
+    sub = spanned(ball, [("f", 0, 0), ("f", 0, -1)])  # two faces sharing one edge
+    assert generalized_boundary_length(sub) == 6
+    assert cancellation(sub) == 1
 
 
 def test_z2_ball_shape():
@@ -134,11 +140,14 @@ def test_build_quotient_torus():
 
 
 def test_quotients_share_their_id_strings():
-    a = build_quotient(1, [((0, 0), (0, 2), -1), ((0, 1), (0, 3), -1)])
+    torus = [((0, 0), (0, 2), -1), ((0, 1), (0, 3), -1)]
+    a = build_quotient(1, torus)
     b = build_quotient(2, [((0, 1), (1, 3), 1)])
-    in_b = {x: x for x in b.vertices | set(b.edges)}
-    for x in a.vertices | set(a.edges):
+    in_b = {x: x for x in b.names.vertices + b.names.edges}
+    for x in a.names.vertices + a.names.edges:
         assert in_b[x] is x
+    # one name table per vertex, edge and face count
+    assert build_quotient(1, torus).names is a.names
 
 
 def test_quotients_share_frozen_faces():
@@ -148,7 +157,7 @@ def test_quotients_share_frozen_faces():
     a = build_quotient(2, glue, labels=[1, 1])
     b = build_quotient(2, glue, labels=[1, 1])
     assert a.faces[0] is a.faces[1] is b.faces[0] is b.faces[1]
-    assert a.vertices is b.vertices
+    assert a.names is b.names
     c = build_quotient(2, glue, labels=[1, 2])
     assert c.faces[0] is a.faces[0]
     assert c.faces[1] is not a.faces[1]
@@ -158,6 +167,15 @@ def test_quotients_share_frozen_faces():
     assert a.faces[0].label == b.faces[1].label == 1
 
 
+def degrees(cx) -> list:
+    """Slot count per edge id, bare edges 0, counted from the face walks."""
+    deg = [0] * len(cx.edges)
+    for face in cx.faces.values():
+        for st in face.walk:
+            deg[st.edge] += 1
+    return deg
+
+
 def test_cancellation_closed_form_on_fixtures_and_a_sampled_ball():
     # Cancel(Y) = 4|Y| - |E| and bt(Y) = 2|E| - 4|Y| against the per-edge
     # degree sums, bare edges (degree 0) included
@@ -165,12 +183,12 @@ def test_cancellation_closed_form_on_fixtures_and_a_sampled_ball():
     complexes += [D.complex for _name, D in fixtures.planar_fixtures()]
     complexes += [fixtures.make_fixture(name) for name in fixtures.REGISTRY]
     ball = build_ball(sample_presentation(4, 0.15, 3), 2).base
-    assert ball.faces and 0 in ball.degrees().values()
+    assert ball.faces and 0 in degrees(ball)
     complexes.append(ball)
     for cx in complexes:
-        assert cancellation(cx) == sum(d - 1 for d in cx.degrees().values())
+        assert cancellation(cx) == sum(d - 1 for d in degrees(cx))
         assert generalized_boundary_length(cx) \
-            == sum(2 - d for d in cx.degrees().values())
+            == sum(2 - d for d in degrees(cx))
 
 
 def test_build_quotient_fold_rejected():
@@ -242,26 +260,34 @@ def test_check_generalized_iso_examples():
 
 def test_generalized_iso_face_subset():
     cx = fixtures.special_pairs()
-    rep = check_generalized_iso(cx, IsoParams(d=0.3, eps=0.01), face_ids=["A", "B"])
+    rep = check_generalized_iso(spanned(cx, ["A", "B"]), IsoParams(d=0.3, eps=0.01))
     assert rep.cancel == 2 and rep.face_count == 2
 
 
 # -- strong adjacency and horns -----------------------------------------------
 
 
+def named_pairs(cx):
+    """shared_edge_pairs(cx) with faces and edges by name."""
+    _vn, en, fn = cx.names
+    return tuple([(fn[f1], fn[f2], tuple(en[e] for e in shared))
+                  for f1, f2, shared in pairs]
+                 for pairs in shared_edge_pairs(cx))
+
+
 def test_shared_edge_pairs():
-    strong, violating = shared_edge_pairs(fixtures.strongly_adjacent_pair())
+    strong, violating = named_pairs(fixtures.strongly_adjacent_pair())
     assert strong == [("A", "B", ("bm", "md"))]
     assert violating == []
 
-    strong, violating = shared_edge_pairs(fixtures.three_sharing_pair())
+    strong, violating = named_pairs(fixtures.three_sharing_pair())
     assert strong == []
     assert violating == [("F", "G", ("e1", "e2", "e3"))]
 
-    strong, violating = shared_edge_pairs(fixtures.grid(3, 2).complex)
+    strong, violating = named_pairs(fixtures.grid(3, 2).complex)
     assert strong == [] and violating == []
 
-    strong, violating = shared_edge_pairs(fixtures.special_pairs())
+    strong, violating = named_pairs(fixtures.special_pairs())
     assert strong == [("A", "B", ("bm", "md"))]
     assert violating == []
 
@@ -271,20 +297,22 @@ def test_shared_edge_pairs():
 
 def test_validation_errors():
     with pytest.raises(ComplexStructureError):
-        SquareComplex("ab", {"e": ("a", "zz")}, {})
+        SquareComplex.named("ab", {"e": ("a", "zz")}, {})
     with pytest.raises(ComplexStructureError):  # unknown edge in walk
-        SquareComplex(
+        SquareComplex.named(
             "ab", {"e": ("a", "b")},
             {"f": Face((Step("x", 1), Step("e", -1), Step("e", 1), Step("e", -1)))},
         )
     with pytest.raises(ComplexStructureError):  # walk does not chain
         fixtures_cx = fixtures.single_square().complex
+        e = fixtures_cx.ids.edges
         SquareComplex(
-            fixtures_cx.vertices, fixtures_cx.edges,
-            {"f": Face((Step("ab", 1), Step("bc", -1), Step("cd", 1), Step("da", 1)))},
+            fixtures_cx.names, fixtures_cx.edges,
+            {0: Face((Step(e["ab"], 1), Step(e["bc"], -1), Step(e["cd"], 1),
+                      Step(e["da"], 1)))},
         )
     with pytest.raises(ComplexStructureError):  # disconnected 1-skeleton
-        SquareComplex("abcd", {"e1": ("a", "b"), "e2": ("c", "d")}, {})
+        SquareComplex.named("abcd", {"e1": ("a", "b"), "e2": ("c", "d")}, {})
     green = json.loads(fixtures.single_square().complex.to_json())
     green["faces"][0]["color"] = "green"
     with pytest.raises(ComplexStructureError):
@@ -295,8 +323,9 @@ def test_validation_errors():
 
 def test_diagram_boundary_must_chain():
     cx = fixtures.single_square().complex
+    e = cx.ids.edges
     with pytest.raises(ComplexStructureError):
-        Diagram(cx, (Step("ab", 1), Step("cd", 1)))
+        Diagram(cx, (Step(e["ab"], 1), Step(e["cd"], 1)))
 
 
 def test_face_slot_maps():
@@ -309,7 +338,7 @@ def test_sa_pair_internal_vertex():
     cx = fixtures.strongly_adjacent_pair()
     boundary_verts = {v for st in fixtures.strongly_adjacent_diagram().boundary
                       for v in (cx.step_tail(st), cx.step_head(st))}
-    assert set(cx.vertices) - boundary_verts == {"m"}
+    assert {cx.names.vertices[v] for v in set(cx.vertices) - boundary_verts} == {"m"}
 
 
 # -- serialization ------------------------------------------------------------
@@ -329,3 +358,53 @@ def test_json_roundtrip(cx):
     assert back.edges == cx.edges
     assert back.faces == cx.faces
     assert back.to_json() == blob
+
+
+# -- numbering ----------------------------------------------------------------
+
+
+def assert_numbered(X):
+    """Each kind's ids are 0..n-1 in the (type name, repr) order of their
+    names, and a JSON round trip gives the same bytes and the same ids."""
+    vn, en, fn = X.names
+    assert list(X.vertices) == list(range(len(vn)))
+    assert list(X.edges) == list(range(len(en)))
+    assert list(X.faces) == list(range(len(fn)))
+    for names in X.names:
+        keys = [_idkey(x) for x in names]
+        assert keys == sorted(set(keys))
+    for kind, ids in zip(X.names, X.ids):
+        assert [ids[x] for x in kind] == list(range(len(kind)))
+    blob = X.to_json()
+    back = SquareComplex.from_json(blob)
+    assert back.to_json() == blob
+    assert (back.names, back.edges, back.faces) == (X.names, X.edges, X.faces)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.REGISTRY))
+def test_registry_fixtures_are_numbered_by_name(name):
+    assert_numbered(fixtures.make_fixture(name))
+
+
+def test_mixed_vertex_names_are_numbered_by_type_then_repr():
+    cx, _gamma = fixtures.three_roof()
+    assert {type(v) for v in cx.names.vertices} == {str, tuple}
+    assert_numbered(cx)
+    # the type name "str" sorts before "tuple"
+    assert cx.names.vertices[:2] == ("w1", "w2")
+
+
+def test_quotient_with_eleven_edges_orders_e10_before_e2():
+    cx = build_quotient(4, [((0, 0), (1, 0), 1), ((1, 1), (2, 1), 1),
+                            ((2, 2), (3, 2), 1)])
+    en = cx.names.edges
+    assert len(en) == 13
+    assert en.index("e10") < en.index("e2")
+    assert_numbered(cx)
+
+
+def test_sampled_ball_faces_order_10_before_2():
+    ball = build_ball(sample_presentation(5, 0.2, 0), 2).base
+    assert len(ball.faces) >= 11
+    assert ball.names.faces.index(10) < ball.names.faces.index(2)
+    assert_numbered(ball)

@@ -22,6 +22,7 @@ from squarewalls.complexes import (
 from squarewalls.enumeration import (
     EnumerationCursor,
     MAX_FACES,
+    WORK_COUNTERS,
     _complete_specs,
     _label_strings,
     _set_partitions,
@@ -115,7 +116,7 @@ def oracle_build_quotient(n_faces: int, identifications,
             walk.append(Step(edge_id[r], s))
         faces[f] = Face(tuple(walk), label=None if labels is None else labels[f])
     try:
-        return SquareComplex(vert_id.values(), edges, faces)
+        return SquareComplex.named(vert_id.values(), edges, faces)
     except ComplexStructureError:
         return None
 
@@ -259,7 +260,8 @@ def test_keys_equal_and_sort_as_oracle_keys():
     rng = random.Random(7)
     pairs = []
     for n in (1, 2):
-        for _key, idents, labels, _table in _complete_specs(n):
+        for _key, idents, labels, _table in _complete_specs(
+                n, dict.fromkeys(WORK_COUNTERS, 0)):
             specs = [(idents, list(labels))]
             perm = list(range(n))
             rng.shuffle(perm)

@@ -170,7 +170,8 @@ def test_capped_corpus_begins_with_the_complete_levels(corpus2, local_iso_corpus
 def test_cancellation_closed_form_on_local_iso_corpus(local_iso_corpus):
     assert len(local_iso_corpus) == 49 + 74528 + 200
     for Y in local_iso_corpus:
-        assert cancellation(Y.base) == sum(d - 1 for d in Y.base.degrees().values())
+        deg = Counter(st.edge for f in Y.base.faces.values() for st in f.walk)
+        assert cancellation(Y.base) == sum(deg[e] - 1 for e in Y.base.edges)
 
 
 def test_local_iso_corpus_bytes_are_pinned(local_iso_corpus):
@@ -189,8 +190,9 @@ def test_parents_are_the_head_of_the_sorted_pool(monkeypatch):
     when that level holds more. The 2-face level is cut to 400 real specs
     (cancellation 6 and 7, each gluing with two labelings) and growth
     records its parents instead of attaching faces."""
-    specs = {1: list(enumeration._complete_specs(1)),
-             2: list(islice(enumeration._complete_specs(2), 400))}
+    specs = {n: list(islice(enumeration._complete_specs(
+                 n, dict.fromkeys(enumeration.WORK_COUNTERS, 0)), cap))
+             for n, cap in ((1, None), (2, 400))}
     pool = [(idents, labels, cancellation(build_quotient(2, idents, list(labels))))
             for _key, idents, labels, _table in specs[2]]
     ordered = [(idents, labels) for idents, labels, _c

@@ -7,8 +7,10 @@ import pytest
 from squarewalls import fixtures
 from squarewalls import fulfill as fulfill_module
 from squarewalls.complexes import (
+    Face,
     IsoParams,
     SquareComplex,
+    Step,
     _idkey,
     build_quotient,
     cancellation,
@@ -672,9 +674,14 @@ def test_scan_cancellation_counts_bare_edges():
     # the doubled-edge torus face (Cancel 2 over its own edges) plus a bare
     # loop edge, which lowers Cancel(Y) to 1
     torus = wrap_quotient(1, [((0, 0), (0, 2), -1), ((0, 1), (0, 3), -1)], [1])
-    (u,) = torus.base.vertices
-    cx = SquareComplex(torus.base.vertices, {**torus.base.edges, "bare": (u, u)},
-                       torus.base.faces)
+    # rebuilt by name, since the edge "bare" sorts first and takes id 0
+    vn, en, fn = torus.base.names
+    (u,) = vn
+    edges = {en[e]: (vn[s], vn[d]) for e, (s, d) in torus.base.edges.items()}
+    faces = {fn[f]: Face(tuple(Step(en[st.edge], st.dir) for st in face.walk),
+                         face.label, face.start, face.orient)
+             for f, face in torus.base.faces.items()}
+    cx = SquareComplex.named(vn, {**edges, "bare": (u, u)}, faces)
     Y = AbstractComplex.wrap(cx)
     assert Y.cancel == cancellation(cx) == cancellation(torus.base) - 1 == 1
     R = [(1, 2, -1, -2)]

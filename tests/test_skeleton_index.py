@@ -1,9 +1,10 @@
-"""The canonical 1-skeleton index and the one-search-per-source BFS.
+"""The 1-skeleton index and the one-search-per-source BFS.
 
 _oracle_geodesic is the earlier bfs_geodesic, which rebuilt and re-sorted
-the adjacency on every call and searched each pair separately;
-_oracle_lower_bound is check_wall_lower_bound on top of it. Both stay here
-as the reference the cached index must reproduce exactly."""
+the adjacency on every call and searched each pair separately, on vertex
+and edge names; _oracle_lower_bound is check_wall_lower_bound on top of it.
+Both stay here as the reference the cached index on integer ids must
+reproduce exactly, once its ids are read back as names."""
 
 import itertools
 import random
@@ -32,8 +33,11 @@ TORUS = Presentation(rank=2, density=0.25, seed=0, relators=((1, 2, -1, -2),))
 
 
 def _oracle_geodesic(X, x, y):
-    adj = {v: [] for v in X.vertices}
-    for eid, (u, v) in sorted(X.edges.items(), key=lambda kv: _idkey(kv[0])):
+    """The geodesic from vertex name x to y, as edge names."""
+    vn, en, _fn = X.names
+    named = {en[e]: (vn[u], vn[v]) for e, (u, v) in X.edges.items()}
+    adj = {v: [] for v in vn}
+    for eid, (u, v) in sorted(named.items(), key=lambda kv: _idkey(kv[0])):
         adj[u].append((v, eid))
         adj[v].append((u, eid))
     prev = {x: None}
@@ -58,15 +62,16 @@ def _oracle_geodesic(X, x, y):
 
 
 def _oracle_lower_bound(W, X, pairs):
+    vn = X.names.vertices
     out = []
     for x, y in pairs:
-        d_edge, geodesic = _oracle_geodesic(X, x, y)
+        d_edge, geodesic = _oracle_geodesic(X, vn[x], vn[y])
         d_wall = wall_distance(W, x, y)
         bound = d_edge // 15
         if d_wall >= bound:
             status = "pass"
         else:
-            gset = set(geodesic)
+            gset = {X.ids.edges[e] for e in geodesic}
             bad = any(rep.count != 2 for H, rep in zip(W.walls, W.reports)
                       if H.vertices & gset)
             status = "indeterminate" if bad else "violation"
@@ -82,15 +87,16 @@ def _sampled_ball():
                          ids=["z2-radius-5", "rank-5-radius-2"])
 def test_geodesics_match_the_oracle_on_every_ordered_pair(make):
     X = make()
-    verts = sorted(X.vertices, key=_idkey)
-    for x in verts:
+    vn, en = X.names.vertices, X.names.edges
+    for x in X.vertices:
         tree = bfs_distances(X, x)
-        assert len(tree) == len(verts)
-        for y in verts:
-            want = _oracle_geodesic(X, x, y)
-            assert bfs_geodesic(X, x, y) == want
-            assert tree.geodesic(y) == want
-            assert tree[y] == want[0]
+        assert len(tree.dist) == len(X.vertices)
+        for y in X.vertices:
+            want = _oracle_geodesic(X, vn[x], vn[y])
+            d, path = bfs_geodesic(X, x, y)
+            assert (d, [en[e] for e in path]) == want
+            assert tree.geodesic(y) == (d, path)
+            assert tree.dist[y] == want[0]
 
 
 def test_lower_bound_rows_match_the_oracle_on_shuffled_pairs():
@@ -99,10 +105,10 @@ def test_lower_bound_rows_match_the_oracle_on_shuffled_pairs():
     X = z2_ball(5)
     cases.append((X, wall_decomposition(paint(X), KINDS)))
     S, _gamma, x, y = staircase(20)
+    x, y = S.ids.vertices[x], S.ids.vertices[y]
     cases.append((S, wall_decomposition(paint(S), ("standard",))))
     for X, W in cases:
-        verts = sorted(X.vertices, key=_idkey)
-        pairs = list(itertools.permutations(verts, 2))
+        pairs = list(itertools.permutations(X.vertices, 2))
         rng.shuffle(pairs)
         rows = check_wall_lower_bound(W, X, pairs)
         assert rows == _oracle_lower_bound(W, X, pairs)
@@ -112,18 +118,22 @@ def test_lower_bound_rows_match_the_oracle_on_shuffled_pairs():
 
 def test_disconnected_pair_raises():
     # construction refuses a disconnected complex, so every pair of vertices
-    # has a geodesic and only an id the complex lacks has no distance
+    # has a geodesic and only an id the complex lacks has no distance; a
+    # name the complex lacks has no id
     with pytest.raises(ComplexStructureError):
-        SquareComplex(["a", "b"], {}, {})
+        SquareComplex.named(["a", "b"], {}, {})
     X = z2_ball(2)
-    for x, y in (((9, 9), (0, 0)), ((0, 0), (9, 9))):
-        with pytest.raises(KeyError):
+    with pytest.raises(KeyError):
+        X.ids.vertices[(9, 9)]
+    origin, outside = X.ids.vertices[(0, 0)], len(X.vertices)
+    for x, y in ((outside, origin), (origin, outside)):
+        with pytest.raises(IndexError):
             bfs_geodesic(X, x, y)
-        with pytest.raises(KeyError):
+        with pytest.raises(IndexError):
             check_wall_lower_bound(WallDecomposition((), ()), X, [(x, x), (x, y)])
-    tree = bfs_distances(X, (0, 0))
-    assert len(tree) == len(X.vertices) and set(tree) == X.vertices
-    assert tree.get((9, 9)) is None
+    tree = bfs_distances(X, origin)
+    assert len(tree.dist) == len(X.vertices) and min(tree.dist) >= 0
+    assert X.ids.vertices.get((9, 9)) is None
 
 
 def test_index_is_built_once_per_complex(monkeypatch):
@@ -137,15 +147,17 @@ def test_index_is_built_once_per_complex(monkeypatch):
     monkeypatch.setattr(SkeletonIndex, "build", classmethod(counting))
     X = z2_ball(11)
     W = wall_decomposition(paint(X))
-    verts = sorted(X.vertices, key=_idkey)
-    check_wall_lower_bound(W, X, [(verts[0], v) for v in verts])
-    check_wall_lower_bound(W, X, [(v, verts[0]) for v in verts])
-    _d, gamma = bfs_geodesic(X, (-5, -5), (6, 5))
+    check_wall_lower_bound(W, X, [(0, v) for v in X.vertices])
+    check_wall_lower_bound(W, X, [(v, 0) for v in X.vertices])
+    v = X.ids.vertices
+    _d, gamma = bfs_geodesic(X, v[(-5, -5)], v[(6, 5)])
+    gamma = [X.names.edges[e] for e in gamma]
     assert check_window_crossing(X, W, gamma).all_pass
     assert check_window_crossing(X, W, gamma).all_pass
     ball = build_ball(TORUS, 3)
-    bfs_geodesic(ball.base, (), (1, 1, 2))
-    bfs_geodesic(ball.base, (1,), (1, 1, 2))
+    w = ball.base.ids.vertices
+    bfs_geodesic(ball.base, w[()], w[(1, 1, 2)])
+    bfs_geodesic(ball.base, w[(1,)], w[(1, 1, 2)])
     assert built == [id(X), id(ball.base)]
 
 
@@ -159,5 +171,6 @@ def test_complexes_never_share_an_index():
         assert other.skeleton == X.skeleton
     bigger = z2_ball(4)
     assert bigger.skeleton != X.skeleton
-    assert bfs_geodesic(bigger, (0, 0), (4, 0))[0] == 4
-    assert bfs_geodesic(X, (0, 0), (3, 0))[0] == 3
+    v, w = bigger.ids.vertices, X.ids.vertices
+    assert bfs_geodesic(bigger, v[(0, 0)], v[(4, 0)])[0] == 4
+    assert bfs_geodesic(X, w[(0, 0)], w[(3, 0)])[0] == 3
