@@ -347,16 +347,15 @@ _COUNTED: dict = {}
 
 
 def _counted(n_vertices: int, n_edges: int, n_faces: int) -> tuple:
-    """(name table, vertex order, edge order, face order) of a quotient with
-    these counts: names u0.., e0.. (interned strings) and 0.., and per kind
-    the index of each id's name, which is the id up to ten (e10 sorts before
-    e2)."""
+    """(name table, vertex ids, edge ids, face ids) of a quotient with these
+    counts: names u0.., e0.. (interned strings) and 0.., and per kind the id
+    of each index, which is the index up to ten (e10 sorts before e2)."""
     key = (n_vertices, n_edges, n_faces)
     if key not in _COUNTED:
         natural = ([sys.intern(f"u{i}") for i in range(n_vertices)],
                    [sys.intern(f"e{i}") for i in range(n_edges)], list(range(n_faces)))
         names = NameTable(*map(ordered_names, natural))
-        _COUNTED[key] = (names, *([xs.index(x) for x in kind]
+        _COUNTED[key] = (names, *([kind.index(x) for x in xs]
                                   for kind, xs in zip(names, natural)))
     return _COUNTED[key]
 
@@ -407,14 +406,14 @@ def _quotient(n_faces: int, idents, table, labels) -> SquareComplex | None:
 
     edge_roots = sorted(set(root))
     vert_roots = sorted(set(corner))
-    names, vert_order, edge_order, face_order = _counted(
+    names, vert_ids, edge_ids, face_ids = _counted(
         len(vert_roots), len(edge_roots), n_faces)
-    vert_id = {vert_roots[k]: i for i, k in enumerate(vert_order)}
-    roots = [edge_roots[k] for k in edge_order]  # edge roots in id order
-    edge_id = {r: i for i, r in enumerate(roots)}
-    edges = {i: (vert_id[corner[r]], vert_id[corner[head(r)]]) for i, r in enumerate(roots)}
-    faces = {}
-    for i, f in enumerate(face_order):
+    edge_id = dict(zip(edge_roots, edge_ids))
+    vert_id = dict(zip(vert_roots, vert_ids))
+    ends = sorted((edge_id[r], (vert_id[corner[r]], vert_id[corner[head(r)]]))
+                  for r in edge_roots)
+    faces: list = [None] * n_faces
+    for f in range(n_faces):
         walk = []
         for x in range(4 * f, 4 * f + 4):
             key = (edge_id[root[x]], sign[x])
@@ -426,9 +425,9 @@ def _quotient(n_faces: int, idents, table, labels) -> SquareComplex | None:
         face = _FACES.get(key)
         if face is None:
             face = _FACES[key] = Face(*key)
-        faces[i] = face
+        faces[face_ids[f]] = face
     try:
-        return SquareComplex(names, edges, faces)
+        return SquareComplex(names, dict(ends), dict(enumerate(faces)))
     except ComplexStructureError:
         return None
 
