@@ -37,7 +37,7 @@ from .walls import (
     wall_decomposition,
 )
 
-_NON_CONFIG = {"func", "out"}
+_NON_CONFIG = {"func", "parser", "out"}
 # the formats a command writes, when more than JSON
 FORMATS = {"walls": ("json", "dot"), "wall-metric": ("json", "csv")}
 TRUNCATED = 3  # exit status of a capped run that found nothing
@@ -358,14 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rank", type=int, required=True)
     sp.add_argument("--density", type=float, required=True)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_sample)
+    sp.set_defaults(func=_cmd_sample, parser=sp)
 
     sp = sub.add_parser("enumerate", help="count abstract complex classes")
     sp.add_argument("--faces", type=int, required=True)
     sp.add_argument("--parent-cap", type=int, default=400)
     sp.add_argument("--level-cap", type=int, default=2500)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_enumerate)
+    sp.set_defaults(func=_cmd_enumerate, parser=sp)
 
     sp = sub.add_parser("scan-iso", help="scan enumerated complexes for "
                                          "cancellation over the density bound")
@@ -374,14 +374,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--faces", type=int, default=2)
     sp.add_argument("--epsilon", type=float, default=0.05)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_scan_iso)
+    sp.set_defaults(func=_cmd_scan_iso, parser=sp)
 
     sp = sub.add_parser("special-cells", help="search relator pairs for "
                                               "three-shares and collared third faces")
     sp.add_argument("--rank", type=int, required=True)
     sp.add_argument("--density", type=float, required=True)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_special_cells)
+    sp.set_defaults(func=_cmd_special_cells, parser=sp)
 
     sp = sub.add_parser("ball", help="build a Cayley-complex ball")
     sp.add_argument("--in", dest="infile", default=None,
@@ -391,20 +391,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--radius", type=int, required=True)
     sp.add_argument("--hard-cap", type=int, default=10**6)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_ball)
+    sp.set_defaults(func=_cmd_ball, parser=sp)
 
     sp = sub.add_parser("walls", help="trace and report hypergraph walls")
     _add_input(sp)
     sp.add_argument("--kinds", default="standard,red,blue")
     _add_common(sp)
-    sp.set_defaults(func=_cmd_walls)
+    sp.set_defaults(func=_cmd_walls, parser=sp)
 
     sp = sub.add_parser("wall-metric", help="wall-separation counts vs edge "
                                             "distance for all vertex pairs")
     _add_input(sp)
     sp.add_argument("--kinds", default="standard,red,blue")
     _add_common(sp)
-    sp.set_defaults(func=_cmd_wall_metric)
+    sp.set_defaults(func=_cmd_wall_metric, parser=sp)
 
     sp = sub.add_parser("windows", help="wall crossings in geodesic windows")
     _add_input(sp)
@@ -412,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--from", dest="src", required=True)
     sp.add_argument("--to", dest="dst", required=True)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_windows)
+    sp.set_defaults(func=_cmd_windows, parser=sp)
 
     sp = sub.add_parser("fulfill-mc", help="Monte Carlo set-level fulfill "
                                            "probability for an abstract complex")
@@ -421,12 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--density", type=float, required=True)
     sp.add_argument("--trials", type=int, default=2000)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_fulfill_mc)
+    sp.set_defaults(func=_cmd_fulfill_mc, parser=sp)
 
     sp = sub.add_parser("fixtures", help="emit a built-in fixture complex")
     _add_input(sp, fixture_only=True)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_fixtures)
+    sp.set_defaults(func=_cmd_fixtures, parser=sp)
 
     for name, sp in sub.choices.items():
         sp.add_argument("--format", choices=FORMATS.get(name, ("json",)),
@@ -437,7 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    # each command reports usage errors with its own subparser, whose usage
+    # line names the command and its flags
+    return args.func(args, args.parser)
 
 
 def main() -> None:

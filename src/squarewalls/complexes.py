@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple
@@ -238,9 +238,14 @@ def _renumbered(face: Face, edge_id) -> Face:
 @dataclass(frozen=True)
 class SkeletonIndex:
     """The 1-skeleton by vertex id: per vertex its (neighbour, edge id)
-    incidences in edge id order, an edge (u, v) listed at u and then at v."""
+    incidences in edge id order, an edge (u, v) listed at u and then at v.
+    It also remembers the breadth-first tree of the last source tree() was
+    asked for, so callers that walk pairs source by source search once per
+    source. That one tree lives and dies with the index, and so with its
+    complex; it takes no part in equality."""
 
     adj: tuple  # per vertex id: tuple of (neighbour id, edge id)
+    last: list = field(compare=False, repr=False)  # [(source, bfs(source))], or []
 
     @classmethod
     def build(cls, X: "SquareComplex") -> "SkeletonIndex":
@@ -248,7 +253,15 @@ class SkeletonIndex:
         for eid, (u, v) in X.edges.items():
             adj[u].append((v, eid))
             adj[v].append((u, eid))
-        return cls(tuple(map(tuple, adj)))
+        return cls(tuple(map(tuple, adj)), [])
+
+    def tree(self, source: int) -> tuple[list, list]:
+        """bfs(source), searched again only when source is not the last
+        source asked for. Callers share the lists and only read them."""
+        last = self.last
+        if not last or last[0][0] != source:
+            last[:] = [(source, self.bfs(source))]
+        return last[0][1]
 
     def bfs(self, source: int) -> tuple[list, list]:
         """Breadth-first search from a vertex id: per vertex the edge

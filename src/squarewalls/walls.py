@@ -8,11 +8,14 @@ shared edge with the adjacent non-shared edge that is not opposite to it.
 
 This module paints strongly adjacent pairs, traces hypergraphs of all three
 kinds, tests embeddedness (tree-ness), extracts collared diagrams from
-non-tree witnesses, computes complement side maps and the wall pseudometric,
-and checks the distance lower bound and geodesic windows. It works on the
-complex's ids, which follow its names, so sorted ids are sorted names and a
-side map is a list by vertex id. Only check_window_crossing takes names (a
-geodesic of edge names), and error messages name faces by name.
+non-tree witnesses, computes complement components and the wall
+pseudometric, and checks the distance lower bound and geodesic windows. It
+works on the complex's ids, which follow its names, so sorted ids are sorted
+names. A wall decomposition keeps each vertex's sides of the two-sided walls
+as the bits of one int (its signature) and, per edge id, the walls dual to
+that edge, so a query costs what it touches rather than one lookup per wall.
+Only check_window_crossing takes names (a geodesic of edge names), and error
+messages name faces by name.
 """
 
 from __future__ import annotations
@@ -336,7 +339,7 @@ def _collaring_path(H: Hypergraph, first, last, corner):
 @dataclass(frozen=True)
 class ComplementReport:
     count: int
-    sides: list  # per vertex id: its component index
+    sides: list | None  # per vertex id its component index; None in a WallDecomposition
     boundary_open: bool
 
 
@@ -370,7 +373,10 @@ def complement_components(X: SquareComplex, H: Hypergraph) -> ComplementReport:
 @dataclass(frozen=True)
 class WallDecomposition:
     walls: tuple  # Hypergraphs
-    reports: tuple  # aligned ComplementReports
+    reports: tuple  # aligned ComplementReports, without their sides
+    signatures: list  # per vertex id: bit i set when on side 1 of two-sided wall i
+    many_sided: tuple  # per wall of more than two sides: its component by vertex id
+    crossing: list  # per edge id: indices of the walls dual to it
 
 
 def wall_decomposition(painted: PaintedComplex,
@@ -378,8 +384,13 @@ def wall_decomposition(painted: PaintedComplex,
     """All walls of the requested kinds, deduplicated by dual edge set: a
     wall traced under several rules is counted once, as the first kind that
     traces it. The complement depends on the dual edge set alone, so each
-    distinct wall gets one complement search."""
-    walls, reports, seen = [], [], set()
+    distinct wall gets one complement search. A two-sided wall's sides are
+    folded into the vertex signatures, a wall of more sides keeps its
+    components, and a one-sided wall, which separates nothing, keeps none."""
+    X = painted.base
+    walls, reports, many_sided, seen = [], [], [], set()
+    signatures = [0] * len(X.vertices)
+    crossing = [[] for _ in X.edges]
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
@@ -387,25 +398,42 @@ def wall_decomposition(painted: PaintedComplex,
             if H.vertices in seen:
                 continue
             seen.add(H.vertices)
+            rep = complement_components(X, H)
+            if rep.count == 2:
+                bit = 1 << len(walls)
+                for v, s in enumerate(rep.sides):
+                    if s:
+                        signatures[v] |= bit
+            elif rep.count > 2:
+                many_sided.append(rep.sides)
+            for e in H.vertices:
+                crossing[e].append(len(walls))
             walls.append(H)
-            reports.append(complement_components(painted.base, H))
-    return WallDecomposition(tuple(walls), tuple(reports))
+            reports.append(ComplementReport(rep.count, None, rep.boundary_open))
+    return WallDecomposition(tuple(walls), tuple(reports), signatures,
+                             tuple(many_sided), crossing)
 
 
 def wall_distance(W: WallDecomposition, x, y) -> int:
-    """Number of walls whose complement side map separates x from y."""
-    return sum(1 for rep in W.reports if rep.sides[x] != rep.sides[y])
+    """Number of walls that separate x from y: the two-sided walls whose
+    bits differ in the two signatures, plus the walls of more sides that
+    put x and y in different components."""
+    d = (W.signatures[x] ^ W.signatures[y]).bit_count()
+    for side in W.many_sided:
+        if side[x] != side[y]:
+            d += 1
+    return d
 
 
 class BFSTree:
     """Breadth-first tree of the 1-skeleton from one source vertex: dist
     lists every vertex's edge distance by id, and geodesic yields the
     deterministic shortest path to a vertex. Every complex is connected, so
-    every vertex is reached."""
+    every vertex is reached. It reads SkeletonIndex.tree, so a tree from
+    the source searched last costs no new search."""
 
     def __init__(self, X: SquareComplex, source: int):
-        self.source = source
-        self.dist, self._via = X.skeleton.bfs(source)
+        self.dist, self._via = X.skeleton.tree(source)
 
     def geodesic(self, y: int):
         """(distance, edge ids of the deterministic shortest path to y)."""
@@ -438,12 +466,12 @@ class PairBoundReport:
     status: str  # "pass" | "violation" | "indeterminate"
 
 
-def _one_sided_wall_crosses(W: WallDecomposition, edges: set) -> bool:
-    """Does some wall crossing these edges have a complement count other
+def _one_sided_wall_crosses(W: WallDecomposition, edges) -> bool:
+    """Is some wall dual to one of these edge ids of complement count other
     than two? The separation argument needs two sides, so a check that
     fails there is indeterminate rather than failed."""
-    return any(rep.count != 2 for H, rep in zip(W.walls, W.reports)
-               if H.vertices & edges)
+    reports = W.reports
+    return any(reports[i].count != 2 for e in edges for i in W.crossing[e])
 
 
 def check_wall_lower_bound(W: WallDecomposition, X: SquareComplex,
@@ -452,20 +480,20 @@ def check_wall_lower_bound(W: WallDecomposition, X: SquareComplex,
     indeterminate when a wall crossing its geodesic has a complement count
     other than two (the separation argument needs two sides).
 
-    One breadth-first search serves every consecutive pair with the same
-    source, so pairs grouped by source cost one search per source."""
+    d_edge is read off the source's breadth-first tree, which the complex's
+    index keeps for the source searched last, so pairs grouped by source
+    cost one search per source. A geodesic is walked only for a pair below
+    its bound."""
+    index = X.skeleton
     out = []
-    tree = None
     for x, y in pairs:
-        if tree is None or tree.source != x:
-            tree = bfs_distances(X, x)
-        d_edge = tree.dist[y]
+        d_edge = index.tree(x)[0][y]
         d_wall = wall_distance(W, x, y)
         bound = d_edge // 15
         if d_wall >= bound:
             status = "pass"
         else:
-            bad = _one_sided_wall_crosses(W, set(tree.geodesic(y)[1]))
+            bad = _one_sided_wall_crosses(W, bfs_geodesic(X, x, y)[1])
             status = "indeterminate" if bad else "violation"
         out.append(PairBoundReport(x, y, d_edge, d_wall, bound, status))
     return out
@@ -510,25 +538,27 @@ def check_window_crossing(X: SquareComplex, W: WallDecomposition,
     """For every window of 15 consecutive geodesic edges of gamma, a
     sequence of edge names: does some wall cross the geodesic exactly once,
     at an edge of that window? Failures become indeterminate when a wall
-    crossing the window lacks a two-sided complement."""
+    crossing the window lacks a two-sided complement.
+
+    Geodesicity is tested on the start's breadth-first tree, which the
+    complex's index keeps, so geodesics from one source cost one search.
+    Crossings are counted edge by edge through the decomposition's walls
+    per edge, so the check touches only the walls gamma crosses."""
     if len(gamma) < MIN_GEODESIC:
         raise ValueError(f"geodesic must have at least {MIN_GEODESIC} edges")
     gamma = [X.ids.edges[e] for e in gamma]
     verts = _chain_vertices(X, gamma)
-    if bfs_distances(X, verts[0]).dist[verts[-1]] != len(gamma):
+    if X.skeleton.tree(verts[0])[0][verts[-1]] != len(gamma):
         raise ValueError("path is not a geodesic")
-    gset = set(gamma)
-    single = []  # (crossing edge, wall index) for walls crossing exactly once
-    for idx, H in enumerate(W.walls):
-        crossings = H.vertices & gset
-        if len(crossings) == 1:
-            single.append((next(iter(crossings)), idx))
+    # a geodesic passes no edge twice, so a wall crosses it once for each
+    # of its dual edges on gamma
+    crossings = Counter(i for e in gamma for i in W.crossing[e])
+    once = [any(crossings[i] == 1 for i in W.crossing[e]) for e in gamma]
     statuses = []
     for i in range(len(gamma) - WINDOW + 1):
-        window = set(gamma[i:i + WINDOW])
-        if any(e in window for e, _idx in single):
+        if any(once[i:i + WINDOW]):
             statuses.append("pass")
             continue
-        bad = _one_sided_wall_crosses(W, window)
+        bad = _one_sided_wall_crosses(W, gamma[i:i + WINDOW])
         statuses.append("indeterminate" if bad else "fail")
     return WindowReport(len(gamma), tuple(statuses))

@@ -363,6 +363,20 @@ def test_bad_values_are_usage_errors(argv, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
+    ["walls", "--fixture", "house", "--radius", "3"],
+    ["ball", "--radius", "1", "--hard-cap", "-5"],
+], ids=["walls", "ball"])
+def test_usage_error_names_the_command(argv, capsys):
+    # an error found after parsing prints the subcommand's usage and flags
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: squarewalls {argv[0]} ")
+    assert "--radius RADIUS" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["walls", "--in", "pres.json"],
     ["fulfill-mc", "--in", "pres.json", "--rank", "2", "--density", "0.25"],
     ["ball", "--in", "walls.json", "--radius", "1"],

@@ -19,7 +19,6 @@ from squarewalls.presentation import Presentation, sample_presentation
 from squarewalls.walls import (
     KINDS,
     PairBoundReport,
-    WallDecomposition,
     bfs_distances,
     bfs_geodesic,
     check_wall_lower_bound,
@@ -130,7 +129,7 @@ def test_disconnected_pair_raises():
         with pytest.raises(IndexError):
             bfs_geodesic(X, x, y)
         with pytest.raises(IndexError):
-            check_wall_lower_bound(WallDecomposition((), ()), X, [(x, x), (x, y)])
+            check_wall_lower_bound(wall_decomposition(paint(X), ()), X, [(x, x), (x, y)])
     tree = bfs_distances(X, origin)
     assert len(tree.dist) == len(X.vertices) and min(tree.dist) >= 0
     assert X.ids.vertices.get((9, 9)) is None
@@ -174,3 +173,60 @@ def test_complexes_never_share_an_index():
     v, w = bigger.ids.vertices, X.ids.vertices
     assert bfs_geodesic(bigger, v[(0, 0)], v[(4, 0)])[0] == 4
     assert bfs_geodesic(X, w[(0, 0)], w[(3, 0)])[0] == 3
+
+
+def test_a_remembered_tree_stays_with_its_complex():
+    big, small = z2_ball(11), z2_ball(10)
+    source = 0  # the same id in both balls, whose trees differ in size
+    big_tree = bfs_distances(big, source)
+    assert big.skeleton.last[0][0] == source
+    small_tree = bfs_distances(small, source)
+    assert len(small_tree.dist) == len(small.vertices) < len(big_tree.dist)
+    assert (small_tree.dist, small_tree._via) == small.skeleton.bfs(source)
+    vn, en = small.names.vertices, small.names.edges
+    for y in small.vertices:
+        d, path = small_tree.geodesic(y)
+        assert (d, [en[e] for e in path]) == _oracle_geodesic(small, vn[source], vn[y])
+    assert big.skeleton.last[0][0] == source
+    assert big.skeleton.last[0][1] == (big_tree.dist, big_tree._via)
+
+
+def test_a_crooked_path_from_a_remembered_source_is_refused():
+    X = z2_ball(11)
+    W = wall_decomposition(paint(X))
+    v, en = X.ids.vertices, X.names.edges
+    corners = [(-5, 0)] + [(x, 0) for x in range(-4, 6)] + [(5, y) for y in range(1, 6)]
+    corners += [(x, 5) for x in range(4, -2, -1)]  # back west: 21 edges, 9 apart
+    edge = {frozenset(uv): e for e, uv in X.edges.items()}
+    crooked = [en[edge[frozenset((v[a], v[b]))]] for a, b in zip(corners, corners[1:])]
+    assert len(crooked) == 21
+    bfs_distances(X, v[(-5, 0)])
+    assert X.skeleton.last[0][0] == v[(-5, 0)]
+    with pytest.raises(ValueError, match="path is not a geodesic"):
+        check_window_crossing(X, W, crooked)
+
+
+def test_searches_once_per_source(monkeypatch):
+    X = z2_ball(11)
+    W = wall_decomposition(paint(X))
+    calls = []
+    bfs = SkeletonIndex.bfs
+
+    def counting(self, source):
+        calls.append(source)
+        return bfs(self, source)
+
+    monkeypatch.setattr(SkeletonIndex, "bfs", counting)
+    # criterion 04's far pairs, grouped by source: a geodesic and its window
+    # check from one source share one search
+    ids, en = X.ids.vertices, X.names.edges
+    far = [(u, v) for u, v in itertools.combinations(sorted(X.names.vertices), 2)
+           if abs(u[0] - v[0]) + abs(u[1] - v[1]) >= 21]
+    assert len(far) == 810
+    for u, v in far:
+        _d, path = bfs_geodesic(X, ids[u], ids[v])
+        assert check_window_crossing(X, W, [en[e] for e in path]).all_pass
+    assert len(calls) == len(set(calls)) == 44
+    calls.clear()
+    check_wall_lower_bound(W, X, itertools.combinations(X.vertices, 2))
+    assert calls == list(X.vertices)[:-1]

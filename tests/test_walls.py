@@ -356,8 +356,8 @@ def test_z2_wall_lines():
     assert len(W.walls) == 4
     vertical = wall_through(cx, W.walls, ("h", -1, 0))
     assert edge_names(cx, vertical.vertices) == {("h", -1, y) for y in (-1, 0, 1)}
-    rep = W.reports[W.walls.index(vertical)]
-    assert rep.count == 2
+    rep = complement_components(cx, vertical)
+    assert rep.count == W.reports[W.walls.index(vertical)].count == 2
     side = {v: rep.sides[i] for v, i in cx.ids.vertices.items()}
     assert side[(-1, 0)] != side[(0, 0)]
     assert side[(-2, 0)] == side[(-1, 1)]
@@ -418,8 +418,8 @@ def test_staircase_standard_walls_never_separate():
     # each standard wall pinches off one interior corner
     H = wall_through(cx, W.walls, ("ab", 0))
     assert edge_names(cx, H.vertices) == {("ab", 0), ("md", 0), ("bc", 0)}
-    rep = W.reports[W.walls.index(H)]
-    assert rep.count == 2
+    rep = complement_components(cx, H)
+    assert rep.count == W.reports[W.walls.index(H)].count == 2
     small = [v for v in cx.vertices if rep.sides[v] != rep.sides[x]]
     assert {cx.names.vertices[v] for v in small} == {("b", 0), ("m", 0)}
 
