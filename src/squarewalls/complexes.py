@@ -267,7 +267,9 @@ class SkeletonIndex:
         """Breadth-first search from a vertex id: per vertex the edge
         distance (-1 when unreached) and the parent (vertex, edge id), which
         is the first incidence in id order to reach it (None at the source
-        and when unreached)."""
+        and when unreached). A source outside 0..V-1 raises IndexError."""
+        if source < 0:
+            raise IndexError(f"vertex id {source} out of range")
         dist = [-1] * len(self.adj)
         via: list = [None] * len(self.adj)
         dist[source] = 0
@@ -352,10 +354,13 @@ def slot_table(n_faces: int, idents, base=None):
 
 # What build_quotient hands out, one object per value, so the many quotients
 # of an enumeration share them: (edge id, dir) -> Step, (walk, label) ->
-# Face, and (vertex, edge, face) counts -> the name table and each kind's
-# ids by index (see _counted)
+# Face, the (src, dst) of each edge in id order -> the edges dict, and
+# (vertex, edge, face) counts -> the name table and each kind's ids by index
+# (see _counted). Complexes only read their edges, so one dict can serve
+# every quotient with the same ends.
 _STEPS: dict = {}
 _FACES: dict = {}
+_EDGES: dict = {}
 _COUNTED: dict = {}
 
 
@@ -387,7 +392,9 @@ def build_quotient(n_faces: int, identifications,
     slots. Corner c = 4f + j is the tail of slot j of face f; corners are
     united in identification order, each union keeping the first-named
     corner's root, and vertices are u0, u1, ... in the order of their roots.
-    Face f is named f. Ids follow the names (see _counted).
+    Face f is named f. Ids follow the names (see _counted). Quotients with
+    the same edge ends share one edges dict, and equal steps and faces are
+    shared objects too (see _EDGES): they are only read.
     """
     idents = list(identifications)
     table = slot_table(n_faces, idents)
@@ -400,7 +407,8 @@ def _quotient(n_faces: int, idents, table, labels) -> SquareComplex | None:
     """The complex build_quotient makes from idents, given their slot table:
     the (root, sign) pair that slot_table(n_faces, idents) returns, as lists
     or tuples, which must not fold and is only read. None when the glued
-    1-skeleton is disconnected."""
+    1-skeleton is disconnected. The edges dict, steps and faces come from
+    _EDGES, _STEPS and _FACES, one object per value."""
     root, sign = table
     corner = list(range(4 * n_faces))
 
@@ -423,8 +431,11 @@ def _quotient(n_faces: int, idents, table, labels) -> SquareComplex | None:
         len(vert_roots), len(edge_roots), n_faces)
     edge_id = dict(zip(edge_roots, edge_ids))
     vert_id = dict(zip(vert_roots, vert_ids))
-    ends = sorted((edge_id[r], (vert_id[corner[r]], vert_id[corner[head(r)]]))
-                  for r in edge_roots)
+    ends = tuple(uv for _e, uv in sorted(
+        (edge_id[r], (vert_id[corner[r]], vert_id[corner[head(r)]])) for r in edge_roots))
+    edges = _EDGES.get(ends)
+    if edges is None:
+        edges = _EDGES[ends] = dict(enumerate(ends))
     faces: list = [None] * n_faces
     for f in range(n_faces):
         walk = []
@@ -440,7 +451,7 @@ def _quotient(n_faces: int, idents, table, labels) -> SquareComplex | None:
             face = _FACES[key] = Face(*key)
         faces[face_ids[f]] = face
     try:
-        return SquareComplex(names, dict(ends), dict(enumerate(faces)))
+        return SquareComplex(names, edges, dict(enumerate(faces)))
     except ComplexStructureError:
         return None
 

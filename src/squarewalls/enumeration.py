@@ -31,8 +31,17 @@ A signed partition's table is read straight off its blocks: every slot's
 root is its block's least slot, and its sign the sign chosen for it. A
 gluing's identifications are written out only when it yields a new key, and
 each complete-level class is built from the table its key was read from.
-Growth keeps at most level_cap of its candidates, so it rebuilds the tables
-of those it keeps rather than holding one per candidate.
+Roots, signs and identification triples are shared objects, one per
+value.
+
+The cursor holds only what its output needs. A complete level's specs are
+sorted once and popped as each class is built, so the list shrinks as the
+classes appear; their keys never enter the growth's seen set, since every
+key begins with its face count. Growth streams its candidates through a
+heap that keeps at most level_cap of them (heapq.nsmallest, which equals
+sorting them all and cutting), counts the rest only as new keys, and
+rebuilds the tables of those it keeps rather than holding one per
+candidate.
 """
 
 from __future__ import annotations
@@ -69,11 +78,22 @@ def _set_partitions(items):
         yield [[first]] + part
 
 
+# (root slot, slot, sign) -> the identification tuple build_quotient reads,
+# one object per value, shared by every gluing that chains that pair
+_IDENTS: dict = {}
+
+
 def _spec_idents(blocks_with_signs) -> tuple:
     """Chain each signed block into identification tuples for build_quotient."""
-    return tuple((divmod(block[0], 4), divmod(slot, 4), sign)
-                 for block, signs in blocks_with_signs
-                 for slot, sign in zip(block[1:], signs))
+    out = []
+    for block, signs in blocks_with_signs:
+        for slot, sign in zip(block[1:], signs):
+            key = (block[0], slot, sign)
+            ident = _IDENTS.get(key)
+            if ident is None:
+                ident = _IDENTS[key] = (divmod(block[0], 4), divmod(slot, 4), sign)
+            out.append(ident)
+    return tuple(out)
 
 
 # per face count: each face permutation and its slots in reading order
@@ -153,6 +173,7 @@ def _complete_specs(n_faces: int, work: dict):
     one gluing and only read. Counts into work (see _new_keys)."""
     label_strings = _label_strings(n_faces)
     seen = set()
+    shared: dict = {}  # one sign tuple per value, as one root tuple per partition
     for part in _set_partitions(list(range(4 * n_faces))):
         if n_faces > 1 and not any(
                 len({s // 4 for s in block}) > 1 for block in part):
@@ -168,7 +189,8 @@ def _complete_specs(n_faces: int, work: dict):
             for b, signs in zip(blocks, choice):
                 for x, s in zip(b[1:], signs):
                     sign[x] = s
-            table = (root, tuple(sign))
+            sign = tuple(sign)
+            table = (root, shared.setdefault(sign, sign))
             fresh = _new_keys(n_faces, table, label_strings, seen, work)
             if fresh:
                 idents = _spec_idents(zip(blocks, choice))
@@ -227,44 +249,52 @@ class EnumerationCursor:
     def __iter__(self):
         self.truncated = False
         work = self.work = dict.fromkeys(WORK_COUNTERS, 0)
-        seen: set = set()
-        levels: dict[int, list] = {}
         for n in (1, 2):
             if n > self.max_faces:
                 break
-            levels[n] = []
-            for key, idents, labels, table in sorted(_complete_specs(n, work)):
+            pool = []  # (idents, labels, cancel) of each class of the level
+            # popped in key order as each class is built, so the list holds
+            # only the specs not built yet
+            specs = sorted(_complete_specs(n, work), reverse=True)
+            while specs:
+                _key, idents, labels, table = specs.pop()
                 cx = _quotient(n, idents, table, labels)
                 if cx is None:
                     work["disconnected"] += 1
                     continue
-                seen.add(key)
-                levels[n].append((idents, labels, cancellation(cx)))
+                pool.append((idents, labels, cancellation(cx)))
                 work["classes"] += 1
                 yield AbstractComplex.wrap(cx)
+        # growth keys only: a key begins with its face count, so no key of a
+        # complete level can match one
+        seen: set = set()
         for n in range(3, self.max_faces + 1):
-            pool = levels.get(n - 1, [])
             parents = heapq.nsmallest(self.parent_cap, pool,
                                       key=lambda t: (-t[2], t[0], t[1]))
             if len(pool) > self.parent_cap:
                 self.truncated = True
-            grown = []
-            for idents, labels, _c in parents:
-                grown.extend(_attachments(n, idents, labels, seen, work))
-            grown.sort(key=lambda t: (-t[3], t[0]))
-            if len(grown) > self.level_cap:
+            found = work["keys"] - work["repeats"]
+            cands = (c for idents, labels, _c in parents
+                     for c in _attachments(n, idents, labels, seen, work))
+            grown = heapq.nsmallest(self.level_cap, cands,
+                                    key=lambda t: (-t[3], t[0]))
+            # nsmallest(0, ...) reads nothing: drain the rest so that every
+            # candidate is counted whatever the cap
+            for _ in cands:
+                pass
+            if work["keys"] - work["repeats"] - found > self.level_cap:
                 self.truncated = True
-            levels[n] = []
-            for key, idents, labels, can in grown[:self.level_cap]:
+            pool = []
+            for _key, idents, labels, can in grown:
                 cx = build_quotient(n, idents, labels=list(labels))
-                levels[n].append((idents, labels, can))
+                pool.append((idents, labels, can))
                 work["classes"] += 1
                 yield AbstractComplex.wrap(cx)
 
 
 def _attachments(n: int, idents, labels, seen: set, work: dict):
     """Attach face n-1 to a connected (n-1)-face complex by one or two signed
-    identifications; returns the (key, idents, labels, cancel) of keys not in
+    identifications; yields the (key, idents, labels, cancel) of keys not in
     seen, adding them to it.
 
     The parent's slot table is built once; each (first, second) gluing
@@ -281,7 +311,6 @@ def _attachments(n: int, idents, labels, seen: set, work: dict):
                      if j2 != j and bs != (new, j2) for s2 in (1, -1)]
         for j in range(4)}
     parent = slot_table(n, idents)
-    out = []
     for bs in base_slots:
         for j in range(4):
             for s in (1, -1):
@@ -293,8 +322,8 @@ def _attachments(n: int, idents, labels, seen: set, work: dict):
                     if fresh:
                         cand = idents + ((first, second) if second else (first,))
                         can = 4 * n - len(set(table[0]))
-                        out.extend((key, cand, labs, can) for key, labs in fresh)
-    return out
+                        for key, labs in fresh:
+                            yield key, cand, labs, can
 
 
 def random_labeled_complex(seed: int) -> AbstractComplex | None:

@@ -58,6 +58,11 @@ class AbstractComplex:
     """SquareComplex whose faces all carry labels 1..n_labels plus reading
     decorations (start slot, orientation)."""
 
+    # no instance __dict__: base and n_labels are the fields, and the other
+    # two slots keep .cancel and .constraints once read. They are not fields,
+    # so equality, hashing and repr never see them.
+    __slots__ = ("base", "n_labels", "_cancel", "_constraints")
+
     base: SquareComplex
     n_labels: int
 
@@ -78,6 +83,11 @@ class AbstractComplex:
             raise FulfillError("all faces need integer labels")
         return cls(cx, max(labels))
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the fields: a frozen class refuses the
+        # setattr that restoring slot state would need, and the caches refill
+        return (AbstractComplex, (self.base, self.n_labels))
+
     def label_order(self) -> list[int]:
         """Labels sorted by descending multiplicity, ties by label."""
         mult: dict = {}
@@ -88,20 +98,24 @@ class AbstractComplex:
     @property
     def constraints(self):
         """The compiled constraint table (see _constraint_table), built on
-        first use and kept. A plain __dict__ fill: the table is tuples of
-        ints and ids, which the garbage collector stops tracking."""
-        d = self.__dict__
-        if "_constraints" not in d:
-            d["_constraints"] = _constraint_table(self)
-        return d["_constraints"]
+        first use and kept in its slot. The table is tuples of ints and ids,
+        which the garbage collector stops tracking."""
+        try:
+            return self._constraints
+        except AttributeError:
+            table = _constraint_table(self)
+            object.__setattr__(self, "_constraints", table)
+            return table
 
     @property
     def cancel(self) -> int:
         """Cancel(Y) over every edge, bare edges included; computed once."""
-        d = self.__dict__
-        if "_cancel" not in d:
-            d["_cancel"] = cancellation(self.base)
-        return d["_cancel"]
+        try:
+            return self._cancel
+        except AttributeError:
+            can = cancellation(self.base)
+            object.__setattr__(self, "_cancel", can)
+            return can
 
     def slot_incidences(self) -> dict:
         """edge -> list of (face id, slot, position, sign, label), sorted."""

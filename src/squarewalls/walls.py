@@ -417,7 +417,10 @@ def wall_decomposition(painted: PaintedComplex,
 def wall_distance(W: WallDecomposition, x, y) -> int:
     """Number of walls that separate x from y: the two-sided walls whose
     bits differ in the two signatures, plus the walls of more sides that
-    put x and y in different components."""
+    put x and y in different components. A vertex id outside 0..V-1
+    raises IndexError."""
+    if x < 0 or y < 0:
+        raise IndexError(f"vertex id {min(x, y)} out of range")
     d = (W.signatures[x] ^ W.signatures[y]).bit_count()
     for side in W.many_sided:
         if side[x] != side[y]:
@@ -436,7 +439,10 @@ class BFSTree:
         self.dist, self._via = X.skeleton.tree(source)
 
     def geodesic(self, y: int):
-        """(distance, edge ids of the deterministic shortest path to y)."""
+        """(distance, edge ids of the deterministic shortest path to y).
+        A vertex id outside 0..V-1 raises IndexError."""
+        if y < 0:
+            raise IndexError(f"vertex id {y} out of range")
         path = []
         while self._via[y] is not None:
             y, eid = self._via[y]

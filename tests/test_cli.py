@@ -1,10 +1,11 @@
 import csv
 import io
 import json
+from itertools import islice
 
 import pytest
 
-from squarewalls import cli
+from squarewalls import cli, enumeration
 from squarewalls.cayley import build_ball
 from squarewalls.cli import run
 from squarewalls.complexes import Face, SquareComplex, Step, build_quotient
@@ -212,6 +213,28 @@ def test_capped_enumeration_is_not_reported_complete(tmp_path):
     three = {k: n for k, n in doc["classes_by_faces_labels"].items()
              if k.startswith("3,")}
     assert sum(three.values()) == 50
+
+
+def test_level_cap_zero_is_truncated(tmp_path, monkeypatch):
+    # three 2-face parents, all kept under a parent cap of three, so only the
+    # level cap trims: a cap of 0 keeps no 3-face class, says so and counts
+    # the same work as an uncapped level
+    two = list(islice(enumeration._complete_specs(
+        2, dict.fromkeys(enumeration.WORK_COUNTERS, 0)), 3))
+    one = list(enumeration._complete_specs(
+        1, dict.fromkeys(enumeration.WORK_COUNTERS, 0)))
+    monkeypatch.setattr(enumeration, "_complete_specs",
+                        lambda n, work: one if n == 1 else two)
+    rc, doc = jrun(tmp_path, "enumerate", "--faces", "3", "--parent-cap", "3",
+                   "--level-cap", "0")
+    assert rc == 3 and doc["complete"] is False
+    assert doc["classes"] == 49 + 3
+    rc, full = jrun(tmp_path, "enumerate", "--faces", "3", "--parent-cap", "3",
+                    "--level-cap", "100000", name="full.json")
+    assert rc == 0 and full["complete"] is True
+    assert full["classes"] > doc["classes"]
+    for name in ("keys", "repeats", "folded", "disconnected"):
+        assert doc["work"][name] == full["work"][name]
 
 
 def test_scan_iso_exit_codes(tmp_path):

@@ -167,6 +167,31 @@ def test_capped_corpus_begins_with_the_complete_levels(corpus2, local_iso_corpus
     assert [len(Y.base.faces) for Y in local_iso_corpus[n:]] == [3] * 200
 
 
+def test_complete_levels_equal_their_build_quotient_rebuild(corpus2):
+    # each K <= 2 class is built from the slot table its key was read from;
+    # gluing its idents afresh gives the same names, edges and faces
+    work = dict.fromkeys(enumeration.WORK_COUNTERS, 0)
+    rebuilt = [build_quotient(n, idents, labels=list(labels))
+               for n in (1, 2)
+               for _key, idents, labels, _table in sorted(enumeration._complete_specs(n, work))]
+    assert None not in rebuilt and len(rebuilt) == len(corpus2.classes)
+    for Y, Z in zip(corpus2.classes, rebuilt):
+        assert Y.base.names == Z.names
+        assert Y.base.edges == Z.edges
+        assert Y.base.faces == Z.faces
+
+
+def test_classes_with_equal_ends_share_one_edges_dict(local_iso_corpus):
+    by_ends: dict = {}
+    for Y in local_iso_corpus:
+        by_ends.setdefault(tuple(Y.base.edges.values()), set()).add(id(Y.base.edges))
+    assert all(len(ids) == 1 for ids in by_ends.values())
+    # no dict serves two different ends maps
+    owners = [ids.pop() for ids in by_ends.values()]
+    assert len(set(owners)) == len(owners)
+    assert len(owners) < len(local_iso_corpus) // 10
+
+
 def test_cancellation_closed_form_on_local_iso_corpus(local_iso_corpus):
     assert len(local_iso_corpus) == 49 + 74528 + 200
     for Y in local_iso_corpus:
@@ -213,6 +238,40 @@ def test_parents_are_the_head_of_the_sorted_pool(monkeypatch):
         assert sum(1 for _ in cursor) == 49 + len(pool)
         assert grown == ordered[:cap]
         assert cursor.truncated == (len(pool) > cap)
+
+
+def test_growth_keeps_the_head_of_the_sorted_candidates(monkeypatch):
+    """Growth keeps the first level_cap of its candidates in (-cancellation,
+    key) order, as sorting all of them and cutting the list did, and is
+    truncated exactly when the level found more new keys than it keeps.
+    Three 2-face parents under a parent cap of three, so only the level cap
+    can trim; it is set to 0, below, at and above the candidate count, and
+    every cap counts the same work."""
+    specs = {1: list(enumeration._complete_specs(
+                 1, dict.fromkeys(enumeration.WORK_COUNTERS, 0))),
+             2: list(islice(enumeration._complete_specs(
+                 2, dict.fromkeys(enumeration.WORK_COUNTERS, 0)), 3))}
+    parents = sorted(((idents, labels, cancellation(build_quotient(2, idents, list(labels))))
+                      for _key, idents, labels, _table in specs[2]),
+                     key=lambda t: (-t[2], t[0], t[1]))
+    seen: set = set()
+    work = dict.fromkeys(enumeration.WORK_COUNTERS, 0)
+    candidates = sorted((c for idents, labels, _c in parents
+                         for c in enumeration._attachments(3, idents, labels, seen, work)),
+                        key=lambda t: (-t[3], t[0]))
+    expect = [build_quotient(3, idents, labels=list(labels)).to_json()
+              for _key, idents, labels, _can in candidates]
+    assert len(expect) == work["keys"] - work["repeats"] > 100
+    monkeypatch.setattr(enumeration, "_complete_specs", lambda n, work: specs[n])
+    works = []
+    for cap in (0, len(expect) - 1, len(expect), len(expect) + 1):
+        cursor = EnumerationCursor(3, parent_cap=3, level_cap=cap)
+        grown = [Y.to_json() for Y in cursor if len(Y.base.faces) == 3]
+        assert grown == expect[:cap]
+        assert cursor.truncated == (cap < len(expect))
+        assert cursor.work["keys"] - cursor.work["repeats"] == len(expect)
+        works.append({k: v for k, v in cursor.work.items() if k != "classes"})
+    assert all(w == works[0] for w in works)
 
 
 def test_multiplicities_sum_to_size(corpus2):
@@ -345,7 +404,7 @@ def test_second_scan_builds_no_constraint_table(corpus2, monkeypatch):
     p = IsoParams(d=0.05, eps=0.01)
     first = scan_local_iso(R, 2, p, classes=classes)
     hot = sum(Y.cancel > 4 * (p.d + p.eps) * len(Y.base.faces) for Y in classes)
-    assert first and len(built) == hot
+    assert first and len(built) == hot == len({id(Y) for Y in built})
     del built[:]
     assert scan_local_iso(R, 2, p, classes=classes) == first
     assert scan_local_iso([(1, 2, 3, 1), (1, 2, 3, 2)], 2, p, classes=classes)

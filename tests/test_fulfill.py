@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from itertools import combinations, product
 
@@ -207,6 +209,31 @@ def test_abstract_complex_json_round_trip():
 
 
 # -- search ----------------------------------------------------------------------
+
+
+def test_abstract_complex_keeps_its_caches_in_slots():
+    # no instance __dict__; cancel and constraints, once read, take no part
+    # in equality, hashing or repr
+    Y = wrap_quotient(2, [((0, 0), (1, 2), 1)], [1, 1])
+    Z = AbstractComplex.wrap(Y.base)
+    assert not hasattr(Y, "__dict__")
+    assert Y.cancel == 1 and Y.constraints is not None
+    assert Y == Z and hash(Y) == hash(Z) and repr(Y) == repr(Z)
+
+
+def test_abstract_complex_copies_and_pickles():
+    # a frozen slotted class rebuilds from its fields and the caches refill.
+    # A shallow copy shares the base, so it is equal; a deep copy or a pickle
+    # round trip has its own base (SquareComplex compares by identity), so it
+    # is checked by its bytes
+    Y = wrap_quotient(2, [((0, 0), (1, 2), 1)], [1, 1])
+    assert Y.cancel == 1 and Y.constraints is not None
+    same = copy.copy(Y)
+    assert same == Y and hash(same) == hash(Y) and same.base is Y.base
+    for other in (same, copy.deepcopy(Y), pickle.loads(pickle.dumps(Y))):
+        assert other.n_labels == Y.n_labels
+        assert other.base.to_json() == Y.base.to_json()
+        assert other.cancel == Y.cancel and other.constraints == Y.constraints
 
 
 def test_search_two_labels_one_shared_edge():

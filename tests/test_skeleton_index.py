@@ -124,12 +124,24 @@ def test_disconnected_pair_raises():
     X = z2_ball(2)
     with pytest.raises(KeyError):
         X.ids.vertices[(9, 9)]
-    origin, outside = X.ids.vertices[(0, 0)], len(X.vertices)
-    for x, y in ((outside, origin), (origin, outside)):
+    W = wall_decomposition(paint(X), ())
+    origin, V = X.ids.vertices[(0, 0)], len(X.vertices)
+    # an id past the end and a negative one alike: -1 and -V would otherwise
+    # index from the end and answer for vertices V-1 and 0
+    for outside in (V, -1, -V):
+        for x, y in ((outside, origin), (origin, outside)):
+            with pytest.raises(IndexError):
+                bfs_geodesic(X, x, y)
+            with pytest.raises(IndexError):
+                check_wall_lower_bound(W, X, [(x, x), (x, y)])
+            with pytest.raises(IndexError):
+                wall_distance(W, x, y)
         with pytest.raises(IndexError):
-            bfs_geodesic(X, x, y)
+            bfs_distances(X, outside)
         with pytest.raises(IndexError):
-            check_wall_lower_bound(wall_decomposition(paint(X), ()), X, [(x, x), (x, y)])
+            bfs_distances(X, origin).geodesic(outside)
+        with pytest.raises(IndexError):
+            X.skeleton.tree(outside)
     tree = bfs_distances(X, origin)
     assert len(tree.dist) == len(X.vertices) and min(tree.dist) >= 0
     assert X.ids.vertices.get((9, 9)) is None
