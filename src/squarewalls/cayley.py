@@ -6,19 +6,19 @@ isoperimetric inequality grants for a boundary of that length. The last
 layer below the cap is closed by a conjugacy test instead of being expanded:
 an insertion there helps only if it empties the word. It answers "distinct"
 only when the abelianization separates the words, and "undecided" when the
-search is cut without a diagram.
+search, which stores at most WORDS_CAP words, is cut without a diagram.
 
 build_ball grows the ball by coset enumeration with Felsch-style deduction
 processing (Holt, Eick, O'Brien, Handbook of Computational Group Theory,
 ch. 5). Every vertex within distance r+2 of the origin gets all 2n
-neighbours, each definition created as a new vertex; hard_cap bounds the
-number of vertices created. Each new edge (x, g) goes on a deduction stack,
-which is drained at once: a pop scans from x the relator variants that begin
-with g, completes a path missing a single edge, and merges the endpoints of
-a closed path that disagree, through a union-find that keeps the smaller id.
-Edges a merge carries onto the surviving vertex are pushed in turn. Distances
-are recomputed once per growth round, and the stabilized table is restricted
-to the requested radius.
+neighbours, each definition created as a new vertex; its hard_cap argument
+bounds the number of vertices created. Each new edge (x, g) goes on a
+deduction stack, which is drained at once: a pop scans from x the relator
+variants that begin with g, completes a path missing a single edge, and
+merges the endpoints of a closed path that disagree, through a union-find
+that keeps the smaller id. Edges a merge carries onto the surviving vertex
+are pushed in turn. Distances are recomputed once per growth round, and the
+stabilized table is restricted to the requested radius.
 
 A ball vertex is complete when every closed relator trace from it in the
 table stays inside the ball, so that the ball holds every face of the
@@ -55,30 +55,19 @@ class BudgetExhausted(RuntimeError):
 
 # the epsilon of the isoperimetric inequality behind the area cap
 AREA_EPS = 0.05
-
-
-@dataclass(frozen=True)
-class WordProblemBudget:
-    """hard_cap bounds the words words_equal stores below its area cap and
-    the vertices build_ball creates."""
-
-    hard_cap: int = 1_000_000
-
-    def __post_init__(self):
-        if self.hard_cap < 1:
-            raise ValueError("hard_cap must be >= 1")
-
-    def area_cap(self, boundary_length: int, density: float) -> int:
-        """Faces a minimal diagram with this boundary can have."""
-        denom = 4.0 * (1.0 - 2.0 * density - AREA_EPS)
-        if denom <= 0:
-            raise ValueError(f"density + {AREA_EPS} must stay below 1/2")
-        return math.ceil(boundary_length / denom)
+# the most words words_equal stores below its area cap
+WORDS_CAP = 1_000_000
 
 
 def _check_density(P: Presentation):
     if P.density + AREA_EPS >= 0.5:
         raise ValueError(f"density + {AREA_EPS} must stay below 1/2")
+
+
+def area_cap(boundary_length: int, density: float) -> int:
+    """Faces a minimal diagram with this boundary can have, for a density
+    that _check_density admits."""
+    return math.ceil(boundary_length / (4.0 * (1.0 - 2.0 * density - AREA_EPS)))
 
 
 def _relator_variants(P: Presentation) -> tuple:
@@ -145,15 +134,15 @@ def replay_witness(P: Presentation, u, v, witness) -> bool:
     return w == ()
 
 
-def words_equal(P: Presentation, u, v,
-                budget: WordProblemBudget | None = None) -> WordsEqualResult:
+def words_equal(P: Presentation, u, v) -> WordsEqualResult:
     """Do u and v spell the same group element?
 
     "equal" always carries a replayable witness. "distinct" is answered only
     with a certificate: the exponent sums of u·v⁻¹ lie outside the integer
     row lattice of the relators' exponent sums, so u and v differ already in
     the abelianization. Otherwise "undecided" means the bounded search (area
-    cap, word length cap |u·v⁻¹|+8, hard cap on states) found no diagram.
+    cap, word length cap |u·v⁻¹|+8, WORDS_CAP stored words) found no
+    diagram.
 
     The search is breadth-first over insertions of relator variants. Words one
     face below the area cap are not expanded: inserting var at position i of w
@@ -163,7 +152,6 @@ def words_equal(P: Presentation, u, v,
     witness are those of full expansion; states counts the stored words below
     the cap.
     """
-    budget = budget or WordProblemBudget()
     _check_density(P)
     u, v = tuple(u), tuple(v)
     if not is_reduced(u) or not is_reduced(v):
@@ -174,7 +162,7 @@ def words_equal(P: Presentation, u, v,
     rows = [_exponent_sums(rel, P.rank) for rel in P.relators]
     if not _in_row_lattice(rows, _exponent_sums(w0, P.rank)):
         return WordsEqualResult("distinct")
-    cap = budget.area_cap(len(u) + len(v), P.density)
+    cap = area_cap(len(u) + len(v), P.density)
     maxlen = len(w0) + 8
     variants = _relator_variants(P)
     variant_set = set(variants)
@@ -210,7 +198,7 @@ def words_equal(P: Presentation, u, v,
                 if len(nxt) > maxlen or nxt in parents:
                     continue
                 states += 1
-                if states > budget.hard_cap:
+                if states > WORDS_CAP:
                     return WordsEqualResult("undecided", states=states)
                 parents[nxt] = (w, i, var)
                 if not nxt:
@@ -254,11 +242,13 @@ class CayleyBall:
         return json.dumps(doc, sort_keys=True)
 
 
-def build_ball(P: Presentation, r: int,
-               budget: WordProblemBudget | None = None) -> CayleyBall:
+def build_ball(P: Presentation, r: int, hard_cap: int = 10**6) -> CayleyBall:
+    """The radius-r ball of P's Cayley complex; creating more than hard_cap
+    vertices raises BudgetExhausted."""
+    if hard_cap < 1:
+        raise ValueError("hard_cap must be >= 1")
     if r < 0:
         raise ValueError("radius must be >= 0")
-    budget = budget or WordProblemBudget()
     _check_density(P)
     gens = sorted(alphabet(P.rank), key=letter_key)
     by_first: dict = {g: [] for g in gens}
@@ -365,9 +355,9 @@ def build_ball(P: Presentation, r: int,
                     x = find(v)
                     parent.append(len(parent))
                     nbr.append({-g: x})
-                    if len(parent) > budget.hard_cap:
+                    if len(parent) > hard_cap:
                         raise BudgetExhausted(
-                            f"more than {budget.hard_cap} vertices created")
+                            f"more than {hard_cap} vertices created")
                     nbr[x][g] = len(parent) - 1
                     stack.append((x, g))
                     drain()

@@ -19,7 +19,7 @@ import sys
 from itertools import combinations
 
 from . import __version__
-from .cayley import BudgetExhausted, WordProblemBudget, build_ball
+from .cayley import BudgetExhausted, build_ball
 from .complexes import IsoParams, SquareComplex, _id_in, _id_out
 from .enumeration import EnumerationCursor, check_special_cells, scan_local_iso
 from .fixtures import REGISTRY, make_fixture
@@ -37,7 +37,7 @@ from .walls import (
     wall_decomposition,
 )
 
-_NON_CONFIG = {"func", "parser", "out"}
+_NON_CONFIG = {"func", "parser", "out", "infile"}
 # the formats a command writes, when more than JSON
 FORMATS = {"walls": ("json", "dot"), "wall-metric": ("json", "csv")}
 TRUNCATED = 3  # exit status of a capped run that found nothing
@@ -177,7 +177,7 @@ def _cmd_ball(args, parser) -> int:
     else:
         P = _sample(args, parser)
     try:
-        ball = build_ball(P, args.radius, WordProblemBudget(hard_cap=args.hard_cap))
+        ball = build_ball(P, args.radius, args.hard_cap)
     except ValueError as exc:
         parser.error(str(exc))
     except BudgetExhausted as exc:
@@ -209,12 +209,6 @@ def _walls_or_report(args, X: SquareComplex, kinds):
     doc[field] = reason
     _emit_json(args, doc)
     return None
-
-
-def _wall_rows(X: SquareComplex, W):
-    """Lower-bound rows for every vertex pair x < y, grouped by source
-    vertex in id order."""
-    return check_wall_lower_bound(W, X, combinations(X.vertices, 2))
 
 
 def _cmd_walls(args, parser) -> int:
@@ -258,7 +252,8 @@ def _cmd_wall_metric(args, parser) -> int:
     W = _walls_or_report(args, X, _kinds(args, parser))
     if W is None:
         return 1
-    reports = _wall_rows(X, W)
+    # every pair x < y, grouped by source vertex in id order
+    reports = check_wall_lower_bound(W, X, combinations(X.vertices, 2))
     failed = any(r.status == "violation" for r in reports)
     if args.format == "csv":
         buf = io.StringIO()

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, NamedTuple
 
 
@@ -212,15 +212,24 @@ class SquareComplex:
 
     @classmethod
     def from_json(cls, s: str) -> "SquareComplex":
+        """The complex to_json wrote. A vertex, edge or face id that appears
+        twice raises ComplexStructureError."""
         d = json.loads(s)
         vertices = [_id_in(v) for v in d["vertices"]]
-        edges = {_id_in(e["id"]): (_id_in(e["src"]), _id_in(e["dst"])) for e in d["edges"]}
+        edge_ids = [_id_in(e["id"]) for e in d["edges"]]
+        face_ids = [_id_in(fd["id"]) for fd in d["faces"]]
+        for kind, ids in (("vertex", vertices), ("edge", edge_ids), ("face", face_ids)):
+            repeated = [x for x, c in Counter(ids).items() if c > 1]
+            if repeated:
+                raise ComplexStructureError(f"repeated {kind} id {repeated[0]!r}")
+        edges = {e: (_id_in(ed["src"]), _id_in(ed["dst"]))
+                 for e, ed in zip(edge_ids, d["edges"])}
         faces = {}
-        for fd in d["faces"]:
+        for f, fd in zip(face_ids, d["faces"]):
             if fd.get("color", "regular") != "regular":
                 raise ComplexStructureError(f"bad color {fd['color']!r}")
             walk = tuple(Step(_id_in(sd["edge"]), sd["dir"]) for sd in fd["walk"])
-            faces[_id_in(fd["id"])] = Face(
+            faces[f] = Face(
                 walk=walk,
                 label=fd.get("label"),
                 start=fd.get("start", 0),
@@ -524,25 +533,3 @@ def check_generalized_iso(Y: SquareComplex, p: IsoParams) -> GenIsoReport:
         boundary_form_pass=bt >= boundary_threshold,
         face_count=size,
     )
-
-
-# -- strong adjacency (shared helper; the walls module re-exports) ----------
-
-
-def shared_edge_pairs(X: SquareComplex) -> tuple[list, list]:
-    """(pairs sharing exactly 2 edges, pairs sharing >= 3 edges).
-
-    Shared-edge count is by distinct edge. Pairs are (fid1, fid2, shared
-    edge ids) with fid1 < fid2, in face id order, the shared edges in edge
-    id order.
-    """
-    use: dict[int, set] = {}
-    for fid, f in X.faces.items():
-        for st in f.walk:
-            use.setdefault(st.edge, set()).add(fid)
-    shared: dict = {}
-    for e in sorted(use):
-        for pair in combinations(sorted(use[e]), 2):
-            shared.setdefault(pair, []).append(e)
-    pairs = sorted((f1, f2, tuple(edges)) for (f1, f2), edges in shared.items())
-    return ([p for p in pairs if len(p[2]) == 2], [p for p in pairs if len(p[2]) > 2])

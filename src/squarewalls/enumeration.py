@@ -502,8 +502,9 @@ def check_special_cells(R: list[Word]) -> SpecialCellsReport:
                     if (size, key) in pair_seen:
                         continue
                     pair_seen.add((size, key))
-                    idents = [((0, k), (1, l), s) for k, l, s in key]
-                    if build_quotient(2, idents, labels=[1, 1 if same else 2]) is None:
+                    # every gluing joins face 0 to face 1, so the two faces
+                    # are connected and only a fold rejects it
+                    if slot_table(2, [((0, k), (1, l), s) for k, l, s in key]) is None:
                         continue
                     overlap = PairOverlap(i, j, key, same)
                     (sink_same if same else sink).append(overlap)

@@ -81,30 +81,33 @@ def three_sharing_diagram() -> Diagram:
     return _diagram(cx, (Step("f4", 1), Step("g4", -1)))
 
 
-def _grid_parts(w: int, h: int) -> tuple[list, dict, dict]:
-    """Named vertices, edges and faces of the w x h square grid."""
-    if w < 1 or h < 1:
-        raise ValueError("grid needs w, h >= 1")
-    vertices = [(x, y) for x in range(w + 1) for y in range(h + 1)]
-    edges = {}
-    for x in range(w + 1):
-        for y in range(h + 1):
-            if x < w:
-                edges[("h", x, y)] = ((x, y), (x + 1, y))
-            if y < h:
-                edges[("v", x, y)] = ((x, y), (x, y + 1))
-    faces = {}
-    for x in range(w):
-        for y in range(h):
+def _lattice_parts(points) -> tuple[list, dict, dict]:
+    """Named vertices, edges and faces of the unit square lattice on the
+    given integer points: edge ("h", x, y) or ("v", x, y) joins (x, y) to
+    the point one step east or north when both are points, and face
+    ("f", x, y), reading h v h^-1 v^-1 (label 1), fills every unit square
+    whose four corners are points."""
+    points = list(points)
+    have = set(points)
+    edges, faces = {}, {}
+    for x, y in points:
+        if (x + 1, y) in have:
+            edges[("h", x, y)] = ((x, y), (x + 1, y))
+        if (x, y + 1) in have:
+            edges[("v", x, y)] = ((x, y), (x, y + 1))
+        if (x + 1, y) in have and (x, y + 1) in have and (x + 1, y + 1) in have:
             walk = (Step(("h", x, y), 1), Step(("v", x + 1, y), 1),
                     Step(("h", x, y + 1), -1), Step(("v", x, y), -1))
             faces[("f", x, y)] = Face(walk, label=1)
-    return vertices, edges, faces
+    return points, edges, faces
 
 
 def grid(w: int, h: int) -> Diagram:
     """w x h square grid with the counterclockwise perimeter as boundary."""
-    cx = SquareComplex.named(*_grid_parts(w, h))
+    if w < 1 or h < 1:
+        raise ValueError("grid needs w, h >= 1")
+    cx = SquareComplex.named(*_lattice_parts(
+        (x, y) for x in range(w + 1) for y in range(h + 1)))
     boundary = (
         [Step(("h", x, 0), 1) for x in range(w)]
         + [Step(("v", w, y), 1) for y in range(h)]
@@ -268,7 +271,7 @@ def three_roof():
     Returns (complex, gamma): gamma = (0,1) -> w1 -> w2 -> (3,1), a geodesic
     (the top row also has length 3).
     """
-    vertices, edges, faces = _grid_parts(3, 1)
+    vertices, edges, faces = _lattice_parts((x, y) for x in range(4) for y in range(2))
     edges["roof0"] = ((0, 1), "w1")
     edges["roof1"] = ("w1", "w2")
     edges["roof2"] = ("w2", (3, 1))
@@ -286,25 +289,9 @@ def z2_ball(r: int) -> SquareComplex:
     """
     if r < 1:
         raise ValueError("z2_ball needs r >= 1")
-
-    def inside(x, y):
-        return abs(x) + abs(y) <= r
-
-    vertices = [(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)
-                if inside(x, y)]
-    edges = {}
-    for x, y in vertices:
-        if inside(x + 1, y):
-            edges[("h", x, y)] = ((x, y), (x + 1, y))
-        if inside(x, y + 1):
-            edges[("v", x, y)] = ((x, y), (x, y + 1))
-    faces = {}
-    for x, y in vertices:
-        if inside(x + 1, y) and inside(x, y + 1) and inside(x + 1, y + 1):
-            walk = (Step(("h", x, y), 1), Step(("v", x + 1, y), 1),
-                    Step(("h", x, y + 1), -1), Step(("v", x, y), -1))
-            faces[("f", x, y)] = Face(walk, label=1)
-    return SquareComplex.named(vertices, edges, faces)
+    return SquareComplex.named(*_lattice_parts(
+        (x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)
+        if abs(x) + abs(y) <= r))
 
 
 def special_pairs() -> SquareComplex:

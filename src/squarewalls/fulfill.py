@@ -179,7 +179,7 @@ def kappa(Y: AbstractComplex) -> FulfillStats:
         m=tuple(mult[lab] for lab in order),
         kappa=tuple(kap),
         delta=delta,
-        cancel=cancellation(Y.base),
+        cancel=Y.cancel,
     )
 
 
@@ -289,8 +289,7 @@ def check_assignment(Y: AbstractComplex, asg: FulfillAssignment) -> bool:
 def fulfill_probability_bound(Y: AbstractComplex, m: int, d: float) -> float:
     """(2m-1) ** ((4|Y|d - Cancel(Y)) / |Y|)."""
     size = len(Y.base.faces)
-    can = cancellation(Y.base)
-    return (2 * m - 1) ** ((4 * size * d - can) / size)
+    return (2 * m - 1) ** ((4 * size * d - Y.cancel) / size)
 
 
 @dataclass(frozen=True)

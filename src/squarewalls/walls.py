@@ -6,10 +6,12 @@ common face. The standard pairing joins opposite edges of every face; the
 red (blue) pairing turns inside red (blue) distinguished faces, joining each
 shared edge with the adjacent non-shared edge that is not opposite to it.
 
-This module paints strongly adjacent pairs, traces hypergraphs of all three
-kinds, tests embeddedness (tree-ness), extracts collared diagrams from
-non-tree witnesses, computes complement components and the wall
-pseudometric, and checks the distance lower bound and geodesic windows. It
+This module paints strongly adjacent pairs (faces sharing exactly two
+edges), traces hypergraphs of all three kinds, tests embeddedness
+(tree-ness), extracts collared diagrams from non-tree witnesses, computes
+complement components and the wall pseudometric, and checks the distance
+lower bound and geodesic windows. Distances and geodesics are read off the
+breadth-first tree that the complex's index keeps for its last source. It
 works on the complex's ids, which follow its names, so sorted ids are sorted
 names. A wall decomposition keeps each vertex's sides of the two-sided walls
 as the bits of one int (its signature) and, per edge id, the walls dual to
@@ -22,8 +24,9 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import combinations
 
-from .complexes import SquareComplex, shared_edge_pairs
+from .complexes import SquareComplex
 
 KINDS = ("standard", "red", "blue")
 
@@ -51,6 +54,22 @@ class PaintedComplex:
     mates: dict  # paired face id -> (partner face id, shared edge ids)
 
 
+def shared_edge_pairs(X: SquareComplex) -> list:
+    """The pairs of faces sharing exactly 2 distinct edges, as (fid1, fid2,
+    shared edge ids) with fid1 < fid2, in face id order, the shared edges in
+    edge id order."""
+    use: dict[int, set] = {}
+    for fid, f in X.faces.items():
+        for st in f.walk:
+            use.setdefault(st.edge, set()).add(fid)
+    shared: dict = {}
+    for e in sorted(use):
+        for pair in combinations(sorted(use[e]), 2):
+            shared.setdefault(pair, []).append(e)
+    return sorted((f1, f2, tuple(edges)) for (f1, f2), edges in shared.items()
+                  if len(edges) == 2)
+
+
 def paint(X: SquareComplex) -> PaintedComplex:
     """Color each strongly adjacent pair: the face with the smaller
     (label, start, orient) key red, its partner blue; faces of equal label
@@ -61,11 +80,10 @@ def paint(X: SquareComplex) -> PaintedComplex:
     greedily, so a face adjacent to several others is paired with the first
     and the rest stay regular.
     """
-    cand, _violations = shared_edge_pairs(X)
     name = X.names.faces
     mates: dict = {}
     pairs = []
-    for f1, f2, shared in cand:
+    for f1, f2, shared in shared_edge_pairs(X):
         if f1 in mates or f2 in mates:
             continue
         mates[f1], mates[f2] = (f2, shared), (f1, shared)
@@ -237,27 +255,22 @@ class CollaredDiagram:
     l: int  # number of distinct complex edges lam crosses
 
 
-def extract_collared_diagram(H: Hypergraph, painted: PaintedComplex,
-                             witness: TreeWitness | None = None) -> CollaredDiagram:
-    """Build the diagram collared by the witness's wall segment: carrier
-    faces along the segment, plus horn partners for distinguished carrier
-    faces whose partner the segment leaves out. lam, corner and horns use
-    the ids of the painted complex; the diagram's complex is the subcomplex
-    they span, numbered afresh."""
-    if witness is None:
-        rep = is_embedded_tree(H)
-        if rep.tree:
-            raise ValueError("hypergraph is an embedded tree; nothing to extract")
-        witness = rep.witness
+def extract_collared_diagram(H: Hypergraph, painted: PaintedComplex) -> CollaredDiagram:
+    """Build the diagram collared by the wall segment of H's non-tree
+    witness (a cycle witness chains by construction): carrier faces along
+    the segment, plus horn partners for distinguished carrier faces whose
+    partner the segment leaves out. lam, corner and horns use the ids of the
+    painted complex; the diagram's complex is the subcomplex they span,
+    numbered afresh."""
+    rep = is_embedded_tree(H)
+    if rep.tree:
+        raise ValueError("hypergraph is an embedded tree; nothing to extract")
+    witness = rep.witness
     X = painted.base
     if witness.kind == "cycle":
         lam = list(witness.segments)
         corner = None
         cornerless = True
-        for i, seg in enumerate(lam):
-            nxt = lam[(i + 1) % len(lam)]
-            if not set(seg[:2]) & set(nxt[:2]):
-                raise ExtractionFailed("cycle witness segments do not chain")
     else:
         first, last = witness.segments[0], witness.segments[-1]
         lam = _collaring_path(H, first, last, witness.face)
@@ -392,8 +405,6 @@ def wall_decomposition(painted: PaintedComplex,
     signatures = [0] * len(X.vertices)
     crossing = [[] for _ in X.edges]
     for kind in kinds:
-        if kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
         for H in trace_hypergraphs(painted, kind):
             if H.vertices in seen:
                 continue
@@ -428,38 +439,19 @@ def wall_distance(W: WallDecomposition, x, y) -> int:
     return d
 
 
-class BFSTree:
-    """Breadth-first tree of the 1-skeleton from one source vertex: dist
-    lists every vertex's edge distance by id, and geodesic yields the
-    deterministic shortest path to a vertex. Every complex is connected, so
-    every vertex is reached. It reads SkeletonIndex.tree, so a tree from
-    the source searched last costs no new search."""
-
-    def __init__(self, X: SquareComplex, source: int):
-        self.dist, self._via = X.skeleton.tree(source)
-
-    def geodesic(self, y: int):
-        """(distance, edge ids of the deterministic shortest path to y).
-        A vertex id outside 0..V-1 raises IndexError."""
-        if y < 0:
-            raise IndexError(f"vertex id {y} out of range")
-        path = []
-        while self._via[y] is not None:
-            y, eid = self._via[y]
-            path.append(eid)
-        path.reverse()
-        return len(path), path
-
-
-def bfs_distances(X: SquareComplex, source) -> BFSTree:
-    """Edge distances and geodesics from source: one breadth-first search
-    over the complex's cached index."""
-    return BFSTree(X, source)
-
-
 def bfs_geodesic(X: SquareComplex, x, y):
-    """(distance, edge ids of one deterministic shortest path)."""
-    return bfs_distances(X, x).geodesic(y)
+    """(distance, edge ids of one deterministic shortest path), walked back
+    from y along x's breadth-first tree; geodesics from the last source cost
+    no new search. A vertex id outside 0..V-1 raises IndexError."""
+    if y < 0:
+        raise IndexError(f"vertex id {y} out of range")
+    via = X.skeleton.tree(x)[1]
+    path = []
+    while via[y] is not None:
+        y, eid = via[y]
+        path.append(eid)
+    path.reverse()
+    return len(path), path
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,6 @@ from squarewalls.presentation import (
     sample_presentation,
 )
 from squarewalls.walls import (
-    bfs_distances,
     check_wall_lower_bound,
     check_window_crossing,
     extract_collared_diagram,
@@ -299,10 +298,10 @@ def test_criterion_04_grid_end_to_end():
         for st in f.walk:
             supported.update(cx.edges[st.edge])
     verts = sorted(cx.vertices)
-    dists = {v: bfs_distances(cx, v) for v in verts}
+    dists = {v: cx.skeleton.tree(v)[0] for v in verts}
     pairs = list(combinations(verts, 2))
     mismatched = [(x, y) for x, y in pairs
-                  if wall_distance(W, x, y) != dists[x].dist[y]]
+                  if wall_distance(W, x, y) != dists[x][y]]
     # d_wall == d_edge exactly on cell-supported pairs; the four rim apexes
     # sit on no 2-cell, their incident edges are crossed by no wall, and
     # every defective pair involves one of them

@@ -19,20 +19,6 @@ Z2 = ("--fixture", "z2", "--radius", "7")
 PIPELINES = {
     "z2_r7_walls_json": [(("walls", *Z2), "walls.json")],
     "z2_r7_walls_dot": [(("walls", *Z2, "--format", "dot"), "walls.dot")],
-    "wall_metric_5_0.15_1_r2":
-        "8ee5e5beabec9214da30d70f4d08412fff2df1950bca968cab73d37760ebd67c",
-    "walls_annulus":
-        "48de7f84049564c65e1f022abfef3e85043c28c4b98da498aae12d4a8f70a123",
-    "walls_comparison":
-        "2e9464cc9fb361a8d156a3628eb6ae01feb3bf78c678d053ed5cf3405a99d75d",
-    "walls_house":
-        "5e29dfe3656bdb60f76ea9d866c1848d1a2f1f4191429420a995e151771128f8",
-    "walls_special-pairs":
-        "062863864ab4d07c7eb9e7b866aba159007b3674909f137076bfaff74d4de08b",
-    "walls_staircase":
-        "5dcb43a683178c8a5adc5597d180b474ee1fcf5501ca5803ac3314b5f2b7676c",
-    "windows_staircase_11":
-        "a684e3324576ce6cfa019c830c03d99cbe2c48665be8c0f40dc2de23406fe043",
     "z2_r7_wall_metric_csv": [
         (("wall-metric", *Z2, "--format", "csv"), "metric.csv")],
 }
@@ -78,19 +64,19 @@ DIGESTS = {
     "ball_5_0.15_144666_r2":
         "46b4e888d594e4e5ff10b79261d7d26698e4dca647da350a26679326e48beff0",
     "fulfill_mc_house_3":
-        "1ea319f2912145315d4ab769989fab5ce180941a8bebca0c12c6a7fb338b5d94",
+        "9a04022d00982eadf129e4efe7cd041796e17873bdb43d6cb38825c956c1f5d0",
     "fulfill_mc_special-pairs_2":
-        "b7cf3d008e12a3ce103a4e7d2474e4063bda4193aae833c12c20946abcbbbf4f",
+        "d2bc20c58f73c4c0eaa671f0ba5c21646569e49ec647f835b479703f30ae960d",
     "sampled_4_0.1_0_r3_walls":
-        "97c898eac081febaa05bbd0da10aac50bf95f3e4fea8cfa26464b4e085fbd8ff",
+        "45bc47c8e896e40a2bd65ff00dab93ea0a7f560bd7439d13107f802c3251bc0f",
     "sampled_5_0.15_1_r2_walls":
-        "425940735e29433145128abc3f529802259b4d4958d1be0761eaf77f1f65a205",
+        "eb1cf0cb6e216e788c02c08a0023000d8ace825e57c3b70fd2285c0d9de02260",
     "scan_iso_2_0.25_1_f1":
         "b9a7049ce9c88a6d06690c8894153d02dc4256de77cad239511c5127ff37baf1",
     "scan_iso_2_0.25_1_f2":
         "891884c7c73253ecfd6a65b6bafdf532fcc0183148835c3adf1d9b9b45483c70",
     "wall_metric_5_0.15_1_r2":
-        "8ee5e5beabec9214da30d70f4d08412fff2df1950bca968cab73d37760ebd67c",
+        "d569fdb13b95c88410c9b29876c5c4154a83006a74666af906df671610307577",
     "walls_annulus":
         "48de7f84049564c65e1f022abfef3e85043c28c4b98da498aae12d4a8f70a123",
     "walls_comparison":

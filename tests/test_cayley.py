@@ -5,10 +5,11 @@ from collections import deque
 import pytest
 
 from squarewalls.cayley import (
+    WORDS_CAP,
     BudgetExhausted,
     CayleyBall,
-    WordProblemBudget,
     WordsEqualResult,
+    area_cap,
     build_ball,
     replay_witness,
     words_equal,
@@ -97,12 +98,9 @@ def test_row_lattice_agrees_with_helper():
 
 
 def test_area_cap_values():
-    b = WordProblemBudget()
-    assert b.hard_cap == 10**6
-    assert b.area_cap(2, 0.25) == 2
-    assert b.area_cap(8, 0.25) == 5
-    with pytest.raises(ValueError):
-        b.area_cap(8, 0.48)
+    assert WORDS_CAP == 10**6
+    assert area_cap(2, 0.25) == 2
+    assert area_cap(8, 0.25) == 5
 
 
 def test_commutator_words_equal():
@@ -137,9 +135,11 @@ def test_density_budget_guard():
         build_ball(fat, 1)
 
 
-def test_tiny_state_cap_gives_undecided():
+def test_tiny_state_cap_gives_undecided(monkeypatch):
     u, v = (1, 2, 1, 2), (2, 1, 2, 1)
-    r = words_equal(TORUS, u, v, WordProblemBudget(hard_cap=10))
+    with monkeypatch.context() as m:
+        m.setattr("squarewalls.cayley.WORDS_CAP", 10)
+        r = words_equal(TORUS, u, v)
     assert r.status == "undecided"
     assert r.states > 10
     full = words_equal(TORUS, u, v)
@@ -344,7 +344,7 @@ def test_ball_of_a_whole_finite_group_is_complete():
 
 def test_ball_budget_exhausted():
     with pytest.raises(BudgetExhausted):
-        build_ball(TORUS, 3, WordProblemBudget(hard_cap=10))
+        build_ball(TORUS, 3, hard_cap=10)
 
 
 def test_ball_serialization():
@@ -362,11 +362,10 @@ def test_ball_serialization():
     assert len(rebuilt.faces) == 4
 
 
-def oracle_words_equal(P, u, v, budget=None):
+def oracle_words_equal(P, u, v):
     """words_equal with every child of the last layer below the area cap
     generated and stored: the full-expansion search the closing test
     replaced."""
-    budget = budget or WordProblemBudget()
     u, v = tuple(u), tuple(v)
     w0 = free_reduce(u + inverse_word(v))
     if not w0:
@@ -374,7 +373,7 @@ def oracle_words_equal(P, u, v, budget=None):
     rows = [_exponent_sums(rel, P.rank) for rel in P.relators]
     if not _in_row_lattice(rows, _exponent_sums(w0, P.rank)):
         return WordsEqualResult("distinct")
-    cap = budget.area_cap(len(u) + len(v), P.density)
+    cap = area_cap(len(u) + len(v), P.density)
     maxlen = len(w0) + 8
     variants = _relator_variants(P)
     parents: dict = {w0: None}
@@ -390,7 +389,7 @@ def oracle_words_equal(P, u, v, budget=None):
                 if len(nxt) > maxlen or nxt in parents:
                     continue
                 states += 1
-                if states > budget.hard_cap:
+                if states > WORDS_CAP:
                     return WordsEqualResult("undecided", states=states)
                 parents[nxt] = (w, i, var)
                 if not nxt:

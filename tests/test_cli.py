@@ -416,6 +416,32 @@ def test_in_file_of_the_wrong_kind_is_a_usage_error(argv, tmp_path, monkeypatch)
     assert exc.value.code == 2
 
 
+def test_repeated_face_id_in_an_in_file_is_a_usage_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["fixtures", "--name", "special-pairs", "--out", "shape.json"]) == 0
+    doc = json.loads(read("shape.json"))
+    faces = doc["complex"]["faces"]
+    assert len(faces) == 3
+    faces[1]["id"] = faces[0]["id"]
+    (tmp_path / "shape.json").write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        run(["walls", "--in", "shape.json", "--out", "walls.json"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "walls.json").exists()
+
+
+def test_an_in_path_leaves_the_artifact_unchanged(tmp_path):
+    blob = build_ball(TORUS, 2).to_json()
+    texts = []
+    for d in (tmp_path / "a", tmp_path / "b" / "c"):
+        d.mkdir(parents=True)
+        (d / "ball.json").write_text(blob)
+        assert run(["walls", "--in", str(d / "ball.json"),
+                    "--out", str(d / "walls.json")]) == 0
+        texts.append(read(d / "walls.json"))
+    assert texts[0] == texts[1]
+
+
 @pytest.mark.parametrize("argv,written", [
     (["walls", "--fixture", "z2", "--radius", "2"], ("json", "dot")),
     (["wall-metric", "--fixture", "z2", "--radius", "2"], ("json", "csv")),

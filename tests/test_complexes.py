@@ -18,10 +18,10 @@ from squarewalls.complexes import (
     cancellation,
     check_generalized_iso,
     generalized_boundary_length,
-    shared_edge_pairs,
     slot_table,
 )
 from squarewalls.presentation import sample_presentation
+from squarewalls.walls import shared_edge_pairs
 
 
 def named_complexes():
@@ -93,8 +93,7 @@ def test_z2_ball_shape():
         assert len(ball.vertices) == 2 * r * r + 2 * r + 1
     ball = fixtures.z2_ball(3)
     # no strongly adjacent pairs in the grid
-    strong, violating = shared_edge_pairs(ball)
-    assert strong == [] and violating == []
+    assert shared_edge_pairs(ball) == []
 
 
 def test_annulus_counts():
@@ -270,26 +269,16 @@ def test_generalized_iso_face_subset():
 def named_pairs(cx):
     """shared_edge_pairs(cx) with faces and edges by name."""
     _vn, en, fn = cx.names
-    return tuple([(fn[f1], fn[f2], tuple(en[e] for e in shared))
-                  for f1, f2, shared in pairs]
-                 for pairs in shared_edge_pairs(cx))
+    return [(fn[f1], fn[f2], tuple(en[e] for e in shared))
+            for f1, f2, shared in shared_edge_pairs(cx)]
 
 
 def test_shared_edge_pairs():
-    strong, violating = named_pairs(fixtures.strongly_adjacent_pair())
-    assert strong == [("A", "B", ("bm", "md"))]
-    assert violating == []
-
-    strong, violating = named_pairs(fixtures.three_sharing_pair())
-    assert strong == []
-    assert violating == [("F", "G", ("e1", "e2", "e3"))]
-
-    strong, violating = named_pairs(fixtures.grid(3, 2).complex)
-    assert strong == [] and violating == []
-
-    strong, violating = named_pairs(fixtures.special_pairs())
-    assert strong == [("A", "B", ("bm", "md"))]
-    assert violating == []
+    assert named_pairs(fixtures.strongly_adjacent_pair()) == [("A", "B", ("bm", "md"))]
+    # a pair sharing three edges is not strongly adjacent
+    assert named_pairs(fixtures.three_sharing_pair()) == []
+    assert named_pairs(fixtures.grid(3, 2).complex) == []
+    assert named_pairs(fixtures.special_pairs()) == [("A", "B", ("bm", "md"))]
 
 
 # -- structure validation -----------------------------------------------------
@@ -358,6 +347,15 @@ def test_json_roundtrip(cx):
     assert back.edges == cx.edges
     assert back.faces == cx.faces
     assert back.to_json() == blob
+
+
+@pytest.mark.parametrize("kind", ["vertices", "edges", "faces"])
+def test_repeated_ids_are_refused(kind):
+    # each duplicate alone leaves a valid complex, so only the id check sees it
+    doc = json.loads(fixtures.special_pairs().to_json())
+    doc[kind].append(doc[kind][0])
+    with pytest.raises(ComplexStructureError, match="repeated"):
+        SquareComplex.from_json(json.dumps(doc))
 
 
 # -- numbering ----------------------------------------------------------------

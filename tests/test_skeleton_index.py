@@ -19,7 +19,6 @@ from squarewalls.presentation import Presentation, sample_presentation
 from squarewalls.walls import (
     KINDS,
     PairBoundReport,
-    bfs_distances,
     bfs_geodesic,
     check_wall_lower_bound,
     check_window_crossing,
@@ -88,14 +87,13 @@ def test_geodesics_match_the_oracle_on_every_ordered_pair(make):
     X = make()
     vn, en = X.names.vertices, X.names.edges
     for x in X.vertices:
-        tree = bfs_distances(X, x)
-        assert len(tree.dist) == len(X.vertices)
+        dist = X.skeleton.tree(x)[0]
+        assert len(dist) == len(X.vertices)
         for y in X.vertices:
             want = _oracle_geodesic(X, vn[x], vn[y])
             d, path = bfs_geodesic(X, x, y)
             assert (d, [en[e] for e in path]) == want
-            assert tree.geodesic(y) == (d, path)
-            assert tree.dist[y] == want[0]
+            assert dist[y] == want[0]
 
 
 def test_lower_bound_rows_match_the_oracle_on_shuffled_pairs():
@@ -137,13 +135,9 @@ def test_disconnected_pair_raises():
             with pytest.raises(IndexError):
                 wall_distance(W, x, y)
         with pytest.raises(IndexError):
-            bfs_distances(X, outside)
-        with pytest.raises(IndexError):
-            bfs_distances(X, origin).geodesic(outside)
-        with pytest.raises(IndexError):
             X.skeleton.tree(outside)
-    tree = bfs_distances(X, origin)
-    assert len(tree.dist) == len(X.vertices) and min(tree.dist) >= 0
+    dist = X.skeleton.tree(origin)[0]
+    assert len(dist) == len(X.vertices) and min(dist) >= 0
     assert X.ids.vertices.get((9, 9)) is None
 
 
@@ -190,17 +184,17 @@ def test_complexes_never_share_an_index():
 def test_a_remembered_tree_stays_with_its_complex():
     big, small = z2_ball(11), z2_ball(10)
     source = 0  # the same id in both balls, whose trees differ in size
-    big_tree = bfs_distances(big, source)
+    big_tree = big.skeleton.tree(source)
     assert big.skeleton.last[0][0] == source
-    small_tree = bfs_distances(small, source)
-    assert len(small_tree.dist) == len(small.vertices) < len(big_tree.dist)
-    assert (small_tree.dist, small_tree._via) == small.skeleton.bfs(source)
+    small_tree = small.skeleton.tree(source)
+    assert len(small_tree[0]) == len(small.vertices) < len(big_tree[0])
+    assert small_tree == small.skeleton.bfs(source)
     vn, en = small.names.vertices, small.names.edges
     for y in small.vertices:
-        d, path = small_tree.geodesic(y)
+        d, path = bfs_geodesic(small, source, y)
         assert (d, [en[e] for e in path]) == _oracle_geodesic(small, vn[source], vn[y])
     assert big.skeleton.last[0][0] == source
-    assert big.skeleton.last[0][1] == (big_tree.dist, big_tree._via)
+    assert big.skeleton.last[0][1] == big_tree
 
 
 def test_a_crooked_path_from_a_remembered_source_is_refused():
@@ -212,7 +206,7 @@ def test_a_crooked_path_from_a_remembered_source_is_refused():
     edge = {frozenset(uv): e for e, uv in X.edges.items()}
     crooked = [en[edge[frozenset((v[a], v[b]))]] for a, b in zip(corners, corners[1:])]
     assert len(crooked) == 21
-    bfs_distances(X, v[(-5, 0)])
+    X.skeleton.tree(v[(-5, 0)])
     assert X.skeleton.last[0][0] == v[(-5, 0)]
     with pytest.raises(ValueError, match="path is not a geodesic"):
         check_window_crossing(X, W, crooked)
