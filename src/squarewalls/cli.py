@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 from itertools import combinations
 
 from . import __version__
@@ -429,9 +430,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built by the first run rather than at
+    import. Parsing leaves it unchanged, and the commands it dispatches to
+    read module globals when they run."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # each command reports usage errors with its own subparser, whose usage
     # line names the command and its flags
     return args.func(args, args.parser)

@@ -213,7 +213,8 @@ class SquareComplex:
     @classmethod
     def from_json(cls, s: str) -> "SquareComplex":
         """The complex to_json wrote. A vertex, edge or face id that appears
-        twice raises ComplexStructureError."""
+        twice, or a face label that is neither null nor an integer, raises
+        ComplexStructureError."""
         d = json.loads(s)
         vertices = [_id_in(v) for v in d["vertices"]]
         edge_ids = [_id_in(e["id"]) for e in d["edges"]]
@@ -229,9 +230,12 @@ class SquareComplex:
             if fd.get("color", "regular") != "regular":
                 raise ComplexStructureError(f"bad color {fd['color']!r}")
             walk = tuple(Step(_id_in(sd["edge"]), sd["dir"]) for sd in fd["walk"])
+            label = fd.get("label")
+            if label is not None and type(label) is not int:
+                raise ComplexStructureError(f"bad label {label!r}")
             faces[f] = Face(
                 walk=walk,
-                label=fd.get("label"),
+                label=label,
                 start=fd.get("start", 0),
                 orient=fd.get("orient", 1),
             )

@@ -60,7 +60,14 @@ from .complexes import (
     check_generalized_iso,
     slot_table,
 )
-from .fulfill import AbstractComplex, FulfillAssignment, check_assignment, fulfill_search
+from .fulfill import (
+    AbstractComplex,
+    FulfillAssignment,
+    check_assignment,
+    fulfill_search,
+    least_tuple,
+    tuple_filter,
+)
 from .presentation import Word, letter_token
 
 MAX_FACES = 5
@@ -372,21 +379,33 @@ def scan_local_iso(R: list[Word], K: int, p: IsoParams,
     4(d+eps)|Y|, with its word assignment witness.
 
     The classes are those of EnumerationCursor(K) unless a pre-enumerated
-    class list is supplied to amortize the enumeration across scans. Each
-    class keeps its cancellation and its compiled fulfill constraints once
-    computed (AbstractComplex.cancel, .constraints), so the first scan over a
-    list pays for compiling its above-threshold classes and every later
-    scan, for any R, reuses them."""
+    class list is supplied to amortize the enumeration across scans. An
+    above-threshold class goes to the search kernel only when the bitset
+    filter (fulfill.tuple_filter) finds a word tuple of R fulfilling it, or
+    when its tuple space is above the filter's bound; the kernel's witness
+    must then be the least such tuple. Each class keeps its cancellation,
+    its requirement mask and, once searched, its constraint table
+    (AbstractComplex.cancel, .requirements, .constraints), so the first scan
+    over a list pays for compiling them and every later scan, for any R,
+    reuses them."""
     out = []
+    fulfilling = tuple_filter(R)
+    rate = 4 * (p.d + p.eps)
     for Y in classes if classes is not None else EnumerationCursor(K):
         size = len(Y.base.faces)
-        threshold = 4 * (p.d + p.eps) * size
+        threshold = rate * size
         can = Y.cancel
         if can <= threshold:
             continue
-        asg = fulfill_search(Y, R)
-        if asg is None:
+        tuples = fulfilling(Y)
+        if tuples == 0:
             continue
+        asg = fulfill_search(Y, R)
+        if asg is None and tuples is None:
+            continue
+        assert asg is not None
+        assert tuples is None or least_tuple(tuples, R, Y.n_labels) == tuple(
+            asg.words.values())
         assert check_assignment(Y, asg)
         assert check_generalized_iso(Y.base, p).violation
         out.append(IsoViolation(Y, asg, can, size, threshold))

@@ -17,12 +17,23 @@ its face. delta(face) counts belonging incidences, kappa_i is the maximum
 delta over label-i faces, and sum_f delta(f) equals Cancel(Y) whenever the
 complex has no bare edges.
 
-Every fulfill entry point reads one compiled constraint table per complex
-(AbstractComplex.constraints): the canonical label order, each label's
-(edge position, relator position, sign) triples, and the edge ids by
-position. It does not depend on the relator words, so it is built the first
-time a complex is searched or counted and reused by every later call; the
-first scan over a corpus pays for the compile, later scans do not.
+A complex is read in two compiled forms, neither of which depends on the
+relator words, each built on first use and kept with the complex:
+
+- AbstractComplex.requirements, the letter equalities as one int: for each
+  edge, its first incidence against every later one, one bit per
+  (rank, position, rank, position, relative sign). Every class of a scan
+  compiles it.
+- AbstractComplex.constraints, the table the search kernel walks: the
+  canonical label order, each label's (edge position, relator position,
+  sign) triples, and the edge ids by position. Only the classes the kernel
+  searches or counts compile it.
+
+tuple_filter turns a relator list into one bitset over its word tuples per
+requirement bit, so that the tuples fulfilling a complex are the AND over
+its requirement bits. A scan then searches only the classes that some tuple
+fulfills, and _consistent_prefixes stays the one kernel that writes
+witnesses.
 """
 
 from __future__ import annotations
@@ -51,6 +62,10 @@ class InfeasibleError(RuntimeError):
 
 ENUMERATION_GUARD = 10_000_000  # largest word-tuple space the exact counts enumerate
 SUBSET_GUARD = 2_000_000  # most relator subsets the exact set-level count enumerates
+# largest word-tuple space len(R) ** n_labels that tuple_filter decides with
+# bitsets; above it the kernel searches every class. Set by measurement (see
+# tuple_filter).
+TUPLE_BOUND = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,9 +74,9 @@ class AbstractComplex:
     decorations (start slot, orientation)."""
 
     # no instance __dict__: base and n_labels are the fields, and the other
-    # two slots keep .cancel and .constraints once read. They are not fields,
-    # so equality, hashing and repr never see them.
-    __slots__ = ("base", "n_labels", "_cancel", "_constraints")
+    # three slots keep .cancel, .requirements and .constraints once read.
+    # They are not fields, so equality, hashing and repr never see them.
+    __slots__ = ("base", "n_labels", "_cancel", "_requirements", "_constraints")
 
     base: SquareComplex
     n_labels: int
@@ -106,6 +121,17 @@ class AbstractComplex:
             table = _constraint_table(self)
             object.__setattr__(self, "_constraints", table)
             return table
+
+    @property
+    def requirements(self) -> int | None:
+        """The requirement mask (see _requirement_mask), built on first use
+        and kept in its slot."""
+        try:
+            return self._requirements
+        except AttributeError:
+            mask = _requirement_mask(self)
+            object.__setattr__(self, "_requirements", mask)
+            return mask
 
     @property
     def cancel(self) -> int:
@@ -183,10 +209,40 @@ def kappa(Y: AbstractComplex) -> FulfillStats:
     )
 
 
-# one tuple per distinct label order and constraint triple, shared by every
-# table: a corpus then holds a few new objects per table, not one per slot.
-# Both kinds are tuples of small ints, bounded by the largest complex seen.
+# one tuple per distinct label order and constraint triple, and one int per
+# distinct requirement mask, shared by every complex: a corpus then holds a
+# few new objects per table, not one per slot. All are tuples of small ints
+# or ints, bounded by the largest complex seen.
 _SHARED: dict = {}
+
+
+def _requirement_mask(Y: AbstractComplex) -> int | None:
+    """Y's letter equalities as one int, or None when Y is not locally
+    injective. Label slot a = 4 * rank + position (rank in the canonical
+    label order) reads letter word[position] ** sign; every later incidence
+    (a, s) of an edge whose first incidence is (a0, s0) sets bit
+    2 * (a0 * 4n + a) + (s != s0), which asks word tuples for
+    word[a0] == word[a] ** (s0 * s). The layout depends only on n = n_labels:
+    a 2-label mask fits in 128 bits."""
+    rank = {lab: 4 * i for i, lab in enumerate(Y.label_order())}
+    width = 4 * len(rank)
+    first: dict = {}
+    seen = set()
+    mask = 0
+    for f in Y.base.faces.values():
+        base, start, orient = rank[f.label], f.start, f.orient
+        for j, st in enumerate(f.walk):
+            a = base + (orient * (j - start)) % 4
+            s = st.dir * orient
+            if (st.edge, a) in seen:
+                return None
+            seen.add((st.edge, a))
+            head = first.get(st.edge)
+            if head is None:
+                first[st.edge] = (a, s)
+            else:
+                mask |= 1 << (2 * (head[0] * width + a) + (head[1] != s))
+    return _SHARED.setdefault(mask, mask)
 
 
 def _constraint_table(Y: AbstractComplex):
@@ -268,6 +324,90 @@ def fulfill_search(Y: AbstractComplex, R: list[Word]) -> FulfillAssignment | Non
     return None
 
 
+def tuple_filter(R: list[Word]):
+    """Y -> the word tuples over R that fulfill Y, as a bitset, or None when
+    len(R) ** Y.n_labels exceeds TUPLE_BOUND. Bit i stands for the i-th
+    tuple of range(len(R)) ** n in lexicographic order, so the least set bit
+    is the tuple fulfill_search returns: every prefix of a fulfilling tuple
+    is consistent, so the depth-first search meets the least one first.
+
+    Per label count n, each requirement bit is decided once for all tuples,
+    as the OR over letters x of (tuples whose word at slot a reads x) AND
+    (tuples whose word at slot b reads x ** sign).
+
+    TUPLE_BOUND bounds memory, not time. On the classes of
+    EnumerationCursor(3, 10, 200), by label count, the filter beat the
+    kernel at every size measured: 0.4-1.9 us a class against 2.4-540 us
+    from 3 to 16 384 tuples, and 18 us against 1.6 ms at 65 536 (2 labels,
+    256 words). At 2 ** 16 tuples a bitset is 8 KB, so one label count's
+    table (at most 32 n^2 requirement bits, filled on demand) stays within
+    32 n^2 * 8 KB."""
+    if not R:
+        return lambda Y: 0
+    # per label count n: (bitset by requirement bit, filled on demand,
+    # _slot_letters(R, n), the bitset of every tuple)
+    tables: dict = {}
+
+    def fulfilling(Y: AbstractComplex) -> int | None:
+        mask = Y.requirements
+        if mask is None:
+            return 0
+        n = Y.n_labels
+        table = tables.get(n)
+        if table is None:
+            if len(R) ** n > TUPLE_BOUND:
+                return None
+            table = tables[n] = ({}, _slot_letters(R, n), (1 << len(R) ** n) - 1)
+        bits, reads, got = table
+        while mask and got:
+            low = mask & -mask
+            mask ^= low
+            bit = low.bit_length() - 1
+            tuples = bits.get(bit)
+            if tuples is None:
+                pair, neg = divmod(bit, 2)
+                a, b = divmod(pair, 4 * n)
+                sign, at_b = (-1 if neg else 1), reads[b]
+                tuples = 0
+                for x, at_a in reads[a].items():
+                    tuples |= at_a & at_b.get(sign * x, 0)
+                bits[bit] = tuples
+            got &= tuples
+        return got
+
+    return fulfilling
+
+
+def _slot_letters(R: list[Word], n: int) -> list:
+    """Per label slot a = 4 * rank + position, letter -> the bitset of the
+    n-tuples over R whose word at that rank reads the letter there."""
+    size = len(R)
+    out = []
+    for rank in range(n):
+        stride = size ** (n - 1 - rank)  # tuples sharing the word at this rank
+        period = stride * size
+        # one bit every period bits, size ** rank times
+        comb = ((1 << (period * size ** rank)) - 1) // ((1 << period) - 1)
+        at = [comb * (((1 << stride) - 1) << (w * stride)) for w in range(size)]
+        for k in range(4):
+            letters: dict = {}
+            for w, word in enumerate(R):
+                letters[word[k]] = letters.get(word[k], 0) | at[w]
+            out.append(letters)
+    return out
+
+
+def least_tuple(tuples: int, R: list[Word], n: int) -> tuple:
+    """The words, in label order, of the least n-tuple in a nonzero
+    tuple_filter bitset over R."""
+    i = (tuples & -tuples).bit_length() - 1
+    out = []
+    for _ in range(n):
+        i, w = divmod(i, len(R))
+        out.append(R[w])
+    return tuple(reversed(out))
+
+
 def check_assignment(Y: AbstractComplex, asg: FulfillAssignment) -> bool:
     """Full revalidation of a search witness from scratch: Y must be
     locally injective, and each edge must get one letter."""
@@ -344,9 +484,12 @@ def exact_set_fulfill_probability(Y: AbstractComplex, m: int, d: float) -> SetFu
     cyclically reduced pool (r = relator count at density d) admits some
     label assignment fulfilling Y.
 
-    Single-label complexes use the hypergeometric closed form; otherwise all
-    C(pool, r) subsets are enumerated against the feasible-tuple table.
-    Both refusals are raised before the pool is listed.
+    Single-label complexes use the hypergeometric closed form. Two-label
+    complexes count the subsets that miss: the r-subsets holding no feasible
+    pair are the independent r-sets of the feasible-pair graph on the words
+    that are not feasible with themselves. Otherwise all C(pool, r) subsets
+    are enumerated against the feasible-tuple table. Both refusals are
+    raised before the pool is listed.
     """
     n = Y.n_labels
     pool = w_count(m)
@@ -365,22 +508,33 @@ def exact_set_fulfill_probability(Y: AbstractComplex, m: int, d: float) -> SetFu
         good = len(feasible)
         prob = 1.0 - math.comb(pool - good, r) / total
         return SetFulfillReport(prob, r, "hypergeometric", good)
-    hits = 0
     if n == 2:
         partners = [0] * pool
         for a, b in feasible:
             partners[a] |= 1 << b
-        for subset in combinations(range(pool), r):
-            mask = 0
-            for b in subset:
-                mask |= 1 << b
-            if any(partners[a] & mask for a in subset):
-                hits += 1
+            partners[b] |= 1 << a
+        free = sum(1 << a for a in range(pool) if not partners[a] >> a & 1)
+        hits = total - _independent_sets(partners, free, r)
     else:
+        hits = 0
         for subset in combinations(range(pool), r):
             if any(t in feasible for t in product(subset, repeat=n)):
                 hits += 1
     return SetFulfillReport(hits / total, r, "subset-enumeration", len(feasible))
+
+
+def _independent_sets(partners: list, allowed: int, r: int) -> int:
+    """r-subsets of the allowed vertices (a bitset) with no two partners,
+    depth-first in vertex order, with a popcount at the last level."""
+    if r <= 1:
+        return allowed.bit_count() if r else 1
+    count = 0
+    while allowed:
+        low = allowed & -allowed
+        allowed ^= low
+        count += _independent_sets(partners, allowed & ~partners[low.bit_length() - 1],
+                                   r - 1)
+    return count
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:

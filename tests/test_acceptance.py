@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import record
+from conftest import oracle_scan, record
 from squarewalls.cayley import build_ball
 from squarewalls.cli import run as cli_run
 from squarewalls.complexes import (
@@ -529,6 +529,11 @@ def test_criterion_11_statistical_reflections():
             third_total += len(rep.third_face_witnesses)
             special_clean += rep.cross_witness_count == 0
             violations = scan_local_iso(R, 3, p, classes=classes)
+            if seed == 0:
+                # once per rank, against the scan that ran the kernel on
+                # every above-threshold class
+                assert [v.to_json_line() for v in violations] == [
+                    v.to_json_line() for v in oracle_scan(R, 3, p, classes)]
             scan_counts.append(len(violations))
             scan_clean += len(violations) == 0
         per_n[n] = SimpleNamespace(

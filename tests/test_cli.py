@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from itertools import islice
 
 import pytest
@@ -428,6 +431,49 @@ def test_repeated_face_id_in_an_in_file_is_a_usage_error(tmp_path, monkeypatch):
         run(["walls", "--in", "shape.json", "--out", "walls.json"])
     assert exc.value.code == 2
     assert not (tmp_path / "walls.json").exists()
+
+
+def test_list_label_in_an_in_file_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["fixtures", "--name", "house", "--out", "shape.json"]) == 0
+    doc = json.loads(read("shape.json"))
+    doc["complex"]["faces"][0]["label"] = [1]
+    (tmp_path / "shape.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["walls", "--in", "shape.json", "--out", "walls.json"])
+    assert exc.value.code == 2
+    assert "bad label [1]" in capsys.readouterr().err
+    assert not (tmp_path / "walls.json").exists()
+
+
+def test_one_process_writes_what_fresh_processes_write(tmp_path):
+    # the parser is built once per process: later commands in the same
+    # process write the bytes a fresh process writes
+    commands = [["sample", "--rank", "3", "--density", "0.2", "--seed", "4"],
+                ["walls", "--fixture", "house"],
+                ["sample", "--rank", "2", "--density", "0.25"]]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for i, argv in enumerate(commands):
+        fresh, here = tmp_path / f"fresh{i}.json", tmp_path / f"here{i}.json"
+        subprocess.run([sys.executable, "-m", "squarewalls", *argv, "--out", str(fresh)],
+                       env=env, check=True)
+        assert run([*argv, "--out", str(here)]) == 0
+        assert read(here) == read(fresh)
+
+
+def test_usage_error_after_a_successful_run_names_its_command(tmp_path, capsys):
+    assert run(["sample", "--rank", "2", "--density", "0.25",
+                "--out", str(tmp_path / "pres.json")]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["walls", "--fixture", "house", "--radius", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: squarewalls walls ")
+    assert "--radius RADIUS" in err
 
 
 def test_an_in_path_leaves_the_artifact_unchanged(tmp_path):

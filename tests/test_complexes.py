@@ -358,6 +358,16 @@ def test_repeated_ids_are_refused(kind):
         SquareComplex.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("label", [[1], "1", True, 1.5, {"a": 1}])
+def test_labels_other_than_int_or_null_are_refused(label):
+    doc = json.loads(fixtures.special_pairs().to_json())
+    doc["faces"][0]["label"] = None
+    SquareComplex.from_json(json.dumps(doc))
+    doc["faces"][0]["label"] = label
+    with pytest.raises(ComplexStructureError, match="bad label"):
+        SquareComplex.from_json(json.dumps(doc))
+
+
 # -- numbering ----------------------------------------------------------------
 
 

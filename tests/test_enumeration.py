@@ -15,6 +15,7 @@ from squarewalls.enumeration import (
     scan_local_iso,
 )
 from squarewalls import enumeration, fulfill
+from conftest import oracle_scan
 from squarewalls.fulfill import AbstractComplex, check_assignment, fulfill_search
 from squarewalls.presentation import sample_presentation
 
@@ -390,25 +391,88 @@ def test_scan_distinct_letter_relator(corpus2):
 
 
 def test_second_scan_builds_no_constraint_table(corpus2, monkeypatch):
-    # fresh wrappers of the shared corpus, so no table is built yet
+    # each above-threshold class compiles its requirement mask once, a table
+    # only when it is searched, and a repeated scan compiles nothing. Fresh
+    # wrappers of the shared corpus, so nothing is compiled yet.
     classes = [AbstractComplex(Y.base, Y.n_labels) for Y in corpus2.classes]
-    built = []
-    compile_table = fulfill._constraint_table
-
-    def counting(Y):
-        built.append(Y)
-        return compile_table(Y)
-
-    monkeypatch.setattr(fulfill, "_constraint_table", counting)
+    compiled = {"_requirement_mask": [], "_constraint_table": []}
+    for name, seen in compiled.items():
+        def counting(Y, compile=getattr(fulfill, name), seen=seen):
+            seen.append(Y)
+            return compile(Y)
+        monkeypatch.setattr(fulfill, name, counting)
+    masks, tables = compiled.values()
     R = [(1, 2, -1, -2)]
     p = IsoParams(d=0.05, eps=0.01)
     first = scan_local_iso(R, 2, p, classes=classes)
     hot = sum(Y.cancel > 4 * (p.d + p.eps) * len(Y.base.faces) for Y in classes)
-    assert first and len(built) == hot == len({id(Y) for Y in built})
-    del built[:]
+    assert first and len(masks) == hot == len({id(Y) for Y in masks})
+    # below the tuple bound the kernel searches only the classes it fulfills
+    assert [id(Y) for Y in tables] == [id(v.complex) for v in first]
+    assert len(tables) < hot // 100
+    for seen in compiled.values():
+        del seen[:]
     assert scan_local_iso(R, 2, p, classes=classes) == first
-    assert scan_local_iso([(1, 2, 3, 1), (1, 2, 3, 2)], 2, p, classes=classes)
-    assert built == []
+    assert masks == tables == []
+    R2 = [(1, 2, 3, 1), (1, 2, 3, 2)]
+    second = scan_local_iso(R2, 2, p, classes=classes)
+    assert second and masks == []
+    assert {id(Y) for Y in tables} <= {id(v.complex) for v in second}
+
+
+def violation_lines(violations):
+    return [v.to_json_line() for v in violations]
+
+
+@pytest.mark.parametrize("rank, density, seed", [
+    (4, 0.15, 0), (4, 0.15, 1), (6, 0.1, 0), (6, 0.1, 1), (2, 0.25, 0), (5, 0.2, 4)])
+def test_scan_matches_oracle_scan_on_local_iso_corpus(local_iso_corpus, rank, density,
+                                                      seed):
+    # the benchmark's presentations and corpus, and two more
+    R = list(sample_presentation(rank, density, seed).relators)
+    assert len(R) ** 3 <= fulfill.TUPLE_BOUND
+    p = IsoParams(d=density, eps=0.05)
+    got = scan_local_iso(R, 3, p, classes=local_iso_corpus)
+    assert got
+    assert violation_lines(got) == violation_lines(oracle_scan(R, 3, p, local_iso_corpus))
+
+
+def test_scan_above_the_tuple_bound_matches_oracle_scan(local_iso_corpus):
+    # 46 words: the 3-label classes go to the kernel, the rest to the filter
+    R = list(sample_presentation(6, 0.4, 0).relators)
+    assert len(R) ** 2 <= fulfill.TUPLE_BOUND < len(R) ** 3
+    p = IsoParams(d=0.1, eps=0.05)
+    classes = [Y for Y in local_iso_corpus if Y.n_labels != 2]
+    fulfilling = fulfill.tuple_filter(R)
+    assert {fulfilling(Y) is None for Y in classes} == {True, False}
+    got = scan_local_iso(R, 3, p, classes=classes)
+    assert got
+    assert violation_lines(got) == violation_lines(oracle_scan(R, 3, p, classes))
+
+
+def test_tuple_filter_holds_exactly_the_fulfilling_tuples(local_iso_corpus):
+    # bit i for tuple i of range(len(R)) ** n in lexicographic order, and the
+    # least one is the search's witness
+    R = list(sample_presentation(4, 0.2, 5).relators)
+    fulfilling = fulfill.tuple_filter(R)
+    found = 0
+    for Y in local_iso_corpus[::2]:
+        table = Y.constraints
+        want = 0
+        if table is not None:
+            for prefix, _letters in fulfill._consistent_prefixes(table, R):
+                if len(prefix) == Y.n_labels:
+                    want |= 1 << sum(wi * len(R) ** (len(prefix) - 1 - i)
+                                     for i, wi in enumerate(prefix))
+        assert fulfilling(Y) == want
+        asg = fulfill_search(Y, R)
+        assert (asg is None) == (want == 0)
+        if want:
+            found += 1
+            assert fulfill.least_tuple(want, R, Y.n_labels) == tuple(
+                asg.words.values())
+    assert found > 100
+    assert fulfill.tuple_filter([])(local_iso_corpus[0]) == 0
 
 
 # -- special cells -----------------------------------------------------------------

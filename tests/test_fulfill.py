@@ -697,6 +697,44 @@ def test_exact_reports_match_oracle_on_criterion_10_shapes():
         assert exact_set_fulfill_probability(Y, 2, 0.25) == oracle_set_fulfill(Y, 2, 0.25)
 
 
+def feasible_pairs(Y: AbstractComplex) -> set:
+    table = Y.constraints
+    return set() if table is None else {
+        prefix for prefix, _letters in fulfill_module._consistent_prefixes(table, W2)
+        if len(prefix) == 2}
+
+
+@pytest.fixture(scope="module")
+def two_label_cases(oracle_corpus):
+    """Every 3000th 2-label class of the corpus, then the first that is
+    locally injective with no feasible pair, and the first whose feasible
+    pairs all repeat one word."""
+    two = [Y for Y in oracle_corpus if Y.n_labels == 2]
+    empty = next(Y for Y in two if Y.constraints is not None and not feasible_pairs(Y))
+    selfish = next(Y for Y in two
+                   if feasible_pairs(Y) and all(a == b for a, b in feasible_pairs(Y)))
+    return two[::3000] + [empty, selfish]
+
+
+@pytest.mark.parametrize("density, r, cases", [(0.2, 2, 0), (0.25, 3, 0), (0.32, 4, -3)])
+def test_two_label_set_probability_matches_oracle(two_label_cases, density, r, cases):
+    # the oracle lists all C(84, 4) = 1 929 501 subsets at r = 4, about two
+    # seconds a class, so r = 4 takes the last sample and the two edge cases
+    assert relator_count(2, density) == r
+    reports = [exact_set_fulfill_probability(Y, 2, density)
+               for Y in two_label_cases[cases:]]
+    for Y, got in zip(two_label_cases[cases:], reports):
+        assert got == oracle_set_fulfill(Y, 2, density)
+    *sample, empty, selfish = reports
+    assert empty.probability == 0.0 and empty.feasible_tuples == 0
+    assert any(rep.probability > 0 for rep in sample)
+    # feasible only with themselves: a subset hits when it holds such a word
+    own = selfish.feasible_tuples
+    total = math.comb(84, r)
+    assert 0 < own < 84
+    assert selfish.probability == (total - math.comb(84 - own, r)) / total
+
+
 def test_scan_cancellation_counts_bare_edges():
     # the doubled-edge torus face (Cancel 2 over its own edges) plus a bare
     # loop edge, which lowers Cancel(Y) to 1
