@@ -124,40 +124,51 @@ class SquareComplex:
     # -- validation ---------------------------------------------------------
 
     def _validate(self):
-        if (list(self.edges) != list(range(len(self.names.edges)))
-                or list(self.faces) != list(range(len(self.names.faces)))):
+        edges, faces = self.edges, self.faces
+        if (list(edges) != list(range(len(self.names.edges)))
+                or list(faces) != list(range(len(self.names.faces)))):
             raise ComplexStructureError("edges and faces must be 0..n-1 in order")
         vertices = self.vertices
-        for e, (src, dst) in self.edges.items():
+        for e, (src, dst) in edges.items():
             if src not in vertices or dst not in vertices:
                 raise ComplexStructureError(f"edge {e!r} endpoint missing")
-        for fid, f in self.faces.items():
+        for fid, f in faces.items():
             if not isinstance(f, Face):
                 raise ComplexStructureError(f"face {fid!r} is not a Face")
-            for st in f.walk:
-                if st.edge not in self.edges:
-                    raise ComplexStructureError(f"face {fid!r} uses unknown edge {st.edge!r}")
-            # (tail, head) of each step; step i must end where step i+1 starts
-            ends = [self.edges[st.edge][::st.dir] for st in f.walk]
+            # tail and head of each step; step i must end where step i+1 starts
+            tails, heads = [], []
+            for edge, d in f.walk:
+                uv = edges.get(edge)
+                if uv is None:
+                    raise ComplexStructureError(f"face {fid!r} uses unknown edge {edge!r}")
+                src, dst = uv
+                tails.append(src if d == 1 else dst)
+                heads.append(dst if d == 1 else src)
             for i in range(4):
-                if ends[i][1] != ends[i - 3][0]:
+                if heads[i] != tails[i - 3]:
                     raise ComplexStructureError(f"face {fid!r} walk does not chain at slot {i}")
         if vertices and not self._skeleton_connected():
             raise ComplexStructureError("1-skeleton is not connected")
 
     def _skeleton_connected(self) -> bool:
-        adj: list = [[] for _ in self.vertices]
-        for src, dst in self.edges.values():
-            adj[src].append(dst)
-            adj[dst].append(src)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(adj)
+        """Union by size with path halving over the edges, so the time is
+        almost linear in V + E."""
+        n = len(self.names.vertices)
+        parent = list(range(n))
+        size = [1] * n
+        parts = n
+        for a, b in self.edges.values():
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
+                parts -= 1
+        return parts == 1
 
     # -- traversal ----------------------------------------------------------
 
@@ -413,43 +424,55 @@ def build_quotient(n_faces: int, identifications,
     table = slot_table(n_faces, idents)
     if table is None:
         return None
-    return _quotient(n_faces, idents, table, labels)
+    return _quotient(_skeleton(n_faces, idents, table), labels)
 
 
-def _quotient(n_faces: int, idents, table, labels) -> SquareComplex | None:
-    """The complex build_quotient makes from idents, given their slot table:
-    the (root, sign) pair that slot_table(n_faces, idents) returns, as lists
-    or tuples, which must not fold and is only read. None when the glued
-    1-skeleton is disconnected. The edges dict, steps and faces come from
-    _EDGES, _STEPS and _FACES, one object per value."""
+def _skeleton(n_faces: int, idents, table) -> tuple:
+    """The label-free part of the quotient build_quotient makes from idents,
+    given their slot table: the (root, sign) pair that
+    slot_table(n_faces, idents) returns, as lists or tuples, which must not
+    fold and is only read. Returns (name table, edges dict, walks), where
+    walks[i] is (the step walk of face id i, its face index); every labeling
+    of the gluing shares it (see _quotient). The edges dict and steps come
+    from _EDGES and _STEPS, one object per value."""
     root, sign = table
-    corner = list(range(4 * n_faces))
-
-    def head(x):
-        return x + 1 if x % 4 < 3 else x - 3
-
+    # corner x is the tail of slot x, and the tail of the slot after it in
+    # its face, x + 1 or x - 3, is its head; a union links the second
+    # corner's root under the first's, keeping the first-named root
+    parent = list(range(4 * n_faces))
     for (f, j), (g, k), sgn in idents:
         x, y = 4 * f + j, 4 * g + k
-        hx, hy = head(x), head(y)
-        for a, b in ((x, y), (hx, hy)) if sgn == 1 else ((x, hy), (hx, y)):
-            ra, rb = corner[a], corner[b]
-            if ra != rb:
-                for z, r in enumerate(corner):
-                    if r == rb:
-                        corner[z] = ra
+        hx = x + 1 if x & 3 != 3 else x - 3
+        hy = y + 1 if y & 3 != 3 else y - 3
+        if sgn != 1:
+            y, hy = hy, y
+        for a, b in ((x, y), (hx, hy)):
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[b] = a
+    corner = []
+    for z in parent:
+        while parent[z] != z:
+            z = parent[z]
+        corner.append(z)
 
     edge_roots = sorted(set(root))
     vert_roots = sorted(set(corner))
     names, vert_ids, edge_ids, face_ids = _counted(
         len(vert_roots), len(edge_roots), n_faces)
-    edge_id = dict(zip(edge_roots, edge_ids))
     vert_id = dict(zip(vert_roots, vert_ids))
-    ends = tuple(uv for _e, uv in sorted(
-        (edge_id[r], (vert_id[corner[r]], vert_id[corner[head(r)]])) for r in edge_roots))
+    edge_id = dict(zip(edge_roots, edge_ids))
+    ends: list = [None] * len(edge_roots)
+    for r, e in zip(edge_roots, edge_ids):
+        ends[e] = (vert_id[corner[r]], vert_id[corner[r + 1 if r & 3 != 3 else r - 3]])
+    ends = tuple(ends)
     edges = _EDGES.get(ends)
     if edges is None:
         edges = _EDGES[ends] = dict(enumerate(ends))
-    faces: list = [None] * n_faces
+    walks: list = [None] * n_faces
     for f in range(n_faces):
         walk = []
         for x in range(4 * f, 4 * f + 4):
@@ -458,13 +481,24 @@ def _quotient(n_faces: int, idents, table, labels) -> SquareComplex | None:
             if st is None:
                 st = _STEPS[key] = Step(*key)
             walk.append(st)
-        key = (tuple(walk), None if labels is None else labels[f])
+        walks[face_ids[f]] = (tuple(walk), f)
+    return names, edges, walks
+
+
+def _quotient(skeleton, labels) -> SquareComplex | None:
+    """The complex of a _skeleton with face f labelled labels[f] (None:
+    unlabelled), or None when the glued 1-skeleton is disconnected. Faces
+    come from _FACES, one object per value."""
+    names, edges, walks = skeleton
+    faces = {}
+    for i, (walk, f) in enumerate(walks):
+        key = (walk, None if labels is None else labels[f])
         face = _FACES.get(key)
         if face is None:
             face = _FACES[key] = Face(*key)
-        faces[face_ids[f]] = face
+        faces[i] = face
     try:
-        return SquareComplex(names, edges, dict(enumerate(faces)))
+        return SquareComplex(names, edges, faces)
     except ComplexStructureError:
         return None
 

@@ -20,19 +20,28 @@ make the trade-off explicit.
 
 Each gluing is read through one slot table (complexes.slot_table), a flat
 (root, sign) list per slot. The key's slot codes are flat ints
-2*class + (sign relative to the class's first occurrence == +1), which order
-exactly as the (class, sign) pairs they stand for. Only permutations whose
-first face has the least four-code head can reach the minimum, so only those
-are coded in full; the codes do not depend on the labels, so all label
-choices of one gluing share them. Growth builds the parent's table once and
-extends it by the one or two new identifications of each candidate.
+2*class + (sign relative to the class's first occurrence == +1), below 40,
+packed 8 bits apiece into one int with the first code most significant; at
+a fixed face count these ints order exactly as the code lists do. A key is
+(face count, packed codes, labels renamed in first-use order), and
+canonical_key alone hands the codes out as a tuple. Growth codes only the
+permutations whose first face has the least four-code head, and abandons
+each once its codes exceed the least so far; the codes do not depend on the
+labels, so all label choices of one gluing share them. Growth builds the
+parent's table once and extends it by the one or two new identifications of
+each candidate.
 
-A signed partition's table is read straight off its blocks: every slot's
-root is its block's least slot, and its sign the sign chosen for it. A
-gluing's identifications are written out only when it yields a new key, and
-each complete-level class is built from the table its key was read from.
-Roots, signs and identification triples are shared objects, one per
-value.
+The complete levels are read per slot partition. A slot's class number, its
+first occurrence in a permutation's reading order, does not depend on the
+signs, so each permutation is read once per partition and every sign
+choice's packed codes follow by one XOR. A label string of one or two faces
+is all equal or all distinct, so it is its own first-use renaming. Signs,
+table and identifications are written out only for a gluing that yields a
+new key: every slot's root is its block's least slot, and its sign the sign
+chosen for it. Each complete-level class is built from the table its key was
+read from, and the label-free part of the quotient (complexes._skeleton) is
+built once per gluing and shared by its labelings. Roots, signs, label
+tuples and identification triples are shared objects, one per value.
 
 The cursor holds only what its output needs. A complete level's specs are
 sorted once and popped as each class is built, so the list shrinks as the
@@ -50,11 +59,13 @@ import heapq
 import json
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from functools import cache
+from itertools import combinations, permutations
 
 from .complexes import (
     IsoParams,
     _quotient,
+    _skeleton,
     build_quotient,
     cancellation,
     check_generalized_iso,
@@ -90,61 +101,82 @@ def _set_partitions(items):
 _IDENTS: dict = {}
 
 
-def _spec_idents(blocks_with_signs) -> tuple:
-    """Chain each signed block into identification tuples for build_quotient."""
+def _spec_idents(chained, sign) -> tuple:
+    """The identification tuples for build_quotient that chain each (root
+    slot, slot) pair of a partition with the slot's sign."""
     out = []
-    for block, signs in blocks_with_signs:
-        for slot, sign in zip(block[1:], signs):
-            key = (block[0], slot, sign)
-            ident = _IDENTS.get(key)
-            if ident is None:
-                ident = _IDENTS[key] = (divmod(block[0], 4), divmod(slot, 4), sign)
-            out.append(ident)
+    for root, slot in chained:
+        key = (root, slot, sign[slot])
+        ident = _IDENTS.get(key)
+        if ident is None:
+            ident = _IDENTS[key] = (divmod(root, 4), divmod(slot, 4), key[2])
+        out.append(ident)
     return tuple(out)
 
 
-# per face count: each face permutation and its slots in reading order
-_ORDERS = {n: [(perm, [4 * f + j for f in perm for j in range(4)])
-               for perm in permutations(range(n))]
-           for n in range(1, MAX_FACES + 1)}
+@cache
+def _orders(n_faces: int) -> list:
+    """Each face permutation of n_faces squares and its slots in reading
+    order, built on first use."""
+    return [(perm, [4 * f + j for f in perm for j in range(4)])
+            for perm in permutations(range(n_faces))]
 
 
-def _codes(root, sign, order) -> list:
+def _codes(root, flips, order, bound) -> list | None:
     """Slot codes read in the given slot order: 2*cid + (relative sign == +1),
     with edge classes numbered by first occurrence and signs taken relative
-    to that occurrence."""
-    first: dict = {}
+    to that occurrence; flips[x] is sign[x] < 0. Unless bound is None, a
+    code list as long as order, None as soon as the codes read so far
+    exceed bound's prefix."""
+    first = [-1] * len(root)  # per root slot its class's base code, -1 unseen
     codes = []
+    fresh = 1  # the base code of the next class
+    tight = bound is not None  # the codes so far equal bound's prefix
     for x in order:
-        r = root[x]
-        base = first.get(r)
-        if base is None:
-            base = first[r] = (2 * len(first) + 1) ^ (sign[x] < 0)
-        codes.append(base ^ (sign[x] < 0))
+        r, flip = root[x], flips[x]
+        base = first[r]
+        if base < 0:
+            base = first[r] = fresh ^ flip
+            fresh += 2
+        code = base ^ flip
+        if tight and code != bound[len(codes)]:
+            if code > bound[len(codes)]:
+                return None
+            tight = False
+        codes.append(code)
     return codes
 
 
 def _least_codes(n_faces: int, table) -> tuple:
-    """(least code tuple over face permutations, the permutations reaching
-    it). The first four codes depend only on the first face, so only
-    permutations starting with a face of least head are coded in full."""
+    """(least codes over face permutations, packed, the permutations reaching
+    them). The first four codes depend only on the first face, so only
+    permutations starting with a face of least head are coded, each
+    abandoned once its codes exceed the least so far. Codes are below 40,
+    so packing them 8 bits apiece, the first most significant, gives ints
+    that order as the code lists do at a fixed face count."""
     root, sign = table
-    heads = [_codes(root, sign, range(4 * f, 4 * f + 4)) for f in range(n_faces)]
+    flips = [s < 0 for s in sign]
+    heads = [_codes(root, flips, range(4 * f, 4 * f + 4), None)
+             for f in range(n_faces)]
     least = min(heads)
     best, tied = None, []
-    for perm, order in _ORDERS[n_faces]:
+    for perm, order in _orders(n_faces):
         if heads[perm[0]] != least:
             continue
-        codes = _codes(root, sign, order)
-        if best is None or codes < best:
-            best, tied = codes, [perm]
-        elif codes == best:
+        codes = _codes(root, flips, order, best)
+        if codes is None:
+            continue
+        if codes == best:
             tied.append(perm)
-    return tuple(best), tied
+        else:
+            best, tied = codes, [perm]
+    return int.from_bytes(bytes(best), "big"), tuple(tied)
 
 
-def _least_labels(tied, labels) -> tuple:
-    """Least first-use renaming of the labels over the tied permutations."""
+@cache
+def _least_labels(tied: tuple, labels: tuple) -> tuple:
+    """Least first-use renaming of the labels over the tied permutations,
+    one tuple per argument pair, which every key holding it shares."""
     best = None
     for perm in tied:
         names: dict = {}
@@ -157,12 +189,15 @@ def _least_labels(tied, labels) -> tuple:
 def canonical_key(n_faces: int, idents, labels) -> tuple:
     """Isomorphism-class key: minimum over face permutations of the slot
     partition encoding, with per-class signs relative to the first occurrence
-    and labels renamed in first-use order. Returns None on a folded gluing."""
+    and labels renamed in first-use order. The codes are a tuple of 4n ints
+    here; the cursor keeps them packed into one int (see _least_codes).
+    Returns None on a folded gluing."""
     table = slot_table(n_faces, idents)
     if table is None:
         return None
     codes, tied = _least_codes(n_faces, table)
-    return (n_faces, codes, _least_labels(tied, labels))
+    return (n_faces, tuple(codes.to_bytes(4 * n_faces, "big")),
+            _least_labels(tied, tuple(labels)))
 
 
 def _label_strings(n: int):
@@ -173,12 +208,55 @@ def _label_strings(n: int):
     return out
 
 
+def _sign_choice_codes(root, free, order) -> list:
+    """The packed codes read in order for every sign choice of a partition
+    (root as in a slot table, free its slots that are not their block's
+    least), in the order of the product over the blocks' sign tuples, each
+    block's listed as (1, ..., 1), (1, ..., -1), ..., (-1, ..., -1).
+
+    Class numbers do not depend on the signs, so the codes with every sign
+    +1 are read once. Setting free slot y to -1 flips bit 0 of the codes at
+    the positions where exactly one of (the position's slot, its class's
+    first slot in order) is y. The product counts in binary over the free
+    slots, the first most significant and -1 as 1, so each choice's codes
+    are an earlier choice's codes with one mask XORed in."""
+    first: dict = {}  # root -> (class code, the class's first slot in order)
+    packed = 0
+    flips = dict.fromkeys(free, 0)
+    bit = 1 << 8 * len(order)
+    for x in order:
+        bit >>= 8
+        code, lead = first.setdefault(root[x], (2 * len(first) + 1, x))
+        packed = packed << 8 | code
+        if lead != x:
+            if x in flips:
+                flips[x] ^= bit
+            if lead in flips:
+                flips[lead] ^= bit
+    out = [packed]
+    for y in reversed(free):
+        mask = flips[y]
+        out += [c ^ mask for c in out]
+    return out
+
+
 def _complete_specs(n_faces: int, work: dict):
-    """All connected fold-free signed slot partitions on n_faces squares,
-    deduplicated; yields (key, idents, labels, table), where table is the
-    slot table of idents as a pair of tuples, shared by every labeling of
-    one gluing and only read. Counts into work (see _new_keys)."""
+    """All connected fold-free signed slot partitions on n_faces <= 2
+    squares, deduplicated; yields (key, idents, labels, table) in partition,
+    sign choice and label order, where table is the slot table of idents as
+    a pair of tuples, shared by every labeling of one gluing and only read.
+    Counts into work as _new_keys does.
+
+    Each partition's face permutations are read once and every sign
+    choice's packed codes derived by XOR (_sign_choice_codes); the least
+    over the permutations is the key's codes. A label string of one or two
+    faces is all equal or all distinct, so renaming it in first-use order
+    leaves it as it is, and a gluing's keys are all new or all repeats: the
+    seen set holds codes. Signs, table and idents are built only for a
+    gluing that yields new keys: every slot's root is its block's least
+    slot, and its sign the sign chosen for it."""
     label_strings = _label_strings(n_faces)
+    orders = _orders(n_faces)
     seen = set()
     shared: dict = {}  # one sign tuple per value, as one root tuple per partition
     for part in _set_partitions(list(range(4 * n_faces))):
@@ -191,44 +269,48 @@ def _complete_specs(n_faces: int, work: dict):
             for x in b:
                 root[x] = b[0]
         root = tuple(root)
-        for choice in product(*(_sign_tuples(len(b) - 1) for b in blocks)):
+        chained = [(b[0], x) for b in blocks for x in b[1:]]
+        free = [x for _b0, x in chained]
+        least = map(min, zip(*(_sign_choice_codes(root, free, order)
+                               for _perm, order in orders)))
+        top = len(free) - 1
+        for choice, codes in enumerate(least):
+            work["keys"] += len(label_strings)
+            if codes in seen:
+                work["repeats"] += len(label_strings)
+                continue
+            seen.add(codes)
             sign = [1] * (4 * n_faces)
-            for b, signs in zip(blocks, choice):
-                for x, s in zip(b[1:], signs):
-                    sign[x] = s
+            for i, x in enumerate(free):
+                if choice >> (top - i) & 1:
+                    sign[x] = -1
             sign = tuple(sign)
             table = (root, shared.setdefault(sign, sign))
-            fresh = _new_keys(n_faces, table, label_strings, seen, work)
-            if fresh:
-                idents = _spec_idents(zip(blocks, choice))
-                for key, labels in fresh:
-                    yield key, idents, labels, table
+            idents = _spec_idents(chained, sign)
+            for labels in label_strings:
+                yield (n_faces, codes, labels), idents, labels, table
 
 
 def _new_keys(n_faces: int, table, label_choices, seen: set, work: dict) -> list:
     """(key, labels) for each label choice on one gluing's slot table whose
-    key is not in seen yet, adding it to seen. work counts a folded table
-    (None) once per label choice, else every key computed and every repeat."""
+    key is not in seen yet, adding it to seen. A key is (face count, packed
+    codes, labels renamed in first-use order). work counts a folded table
+    (None) once per label choice, else every key computed and every
+    repeat."""
     if table is None:
         work["folded"] += len(label_choices)
         return []
     codes, tied = _least_codes(n_faces, table)
     out = []
     for labels in label_choices:
-        key = (n_faces, codes, _least_labels(tied, labels))
+        labs = _least_labels(tied, labels)
+        key = (n_faces, codes, labs)
         work["keys"] += 1
         if key in seen:
             work["repeats"] += 1
             continue
         seen.add(key)
         out.append((key, labels))
-    return out
-
-
-def _sign_tuples(k: int):
-    out = [()]
-    for _ in range(k):
-        out = [t + (s,) for t in out for s in (1, -1)]
     return out
 
 
@@ -261,17 +343,21 @@ class EnumerationCursor:
                 break
             pool = []  # (idents, labels, cancel) of each class of the level
             # popped in key order as each class is built, so the list holds
-            # only the specs not built yet
+            # only the specs not built yet; the labelings of one gluing have
+            # equal codes, so they pop in a row and share one skeleton
             specs = sorted(_complete_specs(n, work), reverse=True)
+            last = skeleton = None
             while specs:
                 _key, idents, labels, table = specs.pop()
-                cx = _quotient(n, idents, table, labels)
+                if table is not last:
+                    last, skeleton = table, _skeleton(n, idents, table)
+                cx = _quotient(skeleton, labels)
                 if cx is None:
                     work["disconnected"] += 1
                     continue
                 pool.append((idents, labels, cancellation(cx)))
                 work["classes"] += 1
-                yield AbstractComplex.wrap(cx)
+                yield AbstractComplex(cx, max(labels))
         # growth keys only: a key begins with its face count, so no key of a
         # complete level can match one
         seen: set = set()
@@ -293,10 +379,10 @@ class EnumerationCursor:
                 self.truncated = True
             pool = []
             for _key, idents, labels, can in grown:
-                cx = build_quotient(n, idents, labels=list(labels))
+                cx = build_quotient(n, idents, labels=labels)
                 pool.append((idents, labels, can))
                 work["classes"] += 1
-                yield AbstractComplex.wrap(cx)
+                yield AbstractComplex(cx, max(labels))
 
 
 def _attachments(n: int, idents, labels, seen: set, work: dict):

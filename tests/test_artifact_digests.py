@@ -60,9 +60,20 @@ PIPELINES["wall_metric_5_0.15_1_r2"] = [
     (("ball", "--in", "pres.json", "--radius", "2"), "ball.json"),
     (("wall-metric", "--in", "ball.json"), "metric.json")]
 
+# the class counts by faces and labels and every work counter of a complete
+# 2-face corpus and of the capped 3-face corpus the benchmark builds
+PIPELINES["enumerate_f2"] = [(("enumerate", "--faces", "2"), "enum.json")]
+PIPELINES["enumerate_f3_10_200"] = [
+    (("enumerate", "--faces", "3", "--parent-cap", "10", "--level-cap", "200"),
+     "enum.json")]
+
 DIGESTS = {
     "ball_5_0.15_144666_r2":
         "46b4e888d594e4e5ff10b79261d7d26698e4dca647da350a26679326e48beff0",
+    "enumerate_f2":
+        "8975198fdb513a8aa6a1f9a56bb0d15e23f1bd621f436c783f7a997a474ea433",
+    "enumerate_f3_10_200":
+        "57f07805025a863954b607611a5c9c071dad586955404461cb2e7e0004817d24",
     "fulfill_mc_house_3":
         "9a04022d00982eadf129e4efe7cd041796e17873bdb43d6cb38825c956c1f5d0",
     "fulfill_mc_special-pairs_2":

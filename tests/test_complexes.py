@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from squarewalls.complexes import (
     Diagram,
     Face,
     IsoParams,
+    NameTable,
     SquareComplex,
     Step,
     _idkey,
@@ -282,6 +284,99 @@ def test_shared_edge_pairs():
 
 
 # -- structure validation -----------------------------------------------------
+
+
+def oracle_validate(names, edges, faces):
+    """SquareComplex._validate as it read before the chain check stopped
+    slicing tuples and connectivity became a union-find, on the three
+    fields: the message it raises, or None."""
+    vertices = range(len(names.vertices))
+    try:
+        if (list(edges) != list(range(len(names.edges)))
+                or list(faces) != list(range(len(names.faces)))):
+            raise ComplexStructureError("edges and faces must be 0..n-1 in order")
+        for e, (src, dst) in edges.items():
+            if src not in vertices or dst not in vertices:
+                raise ComplexStructureError(f"edge {e!r} endpoint missing")
+        for fid, f in faces.items():
+            if not isinstance(f, Face):
+                raise ComplexStructureError(f"face {fid!r} is not a Face")
+            for st in f.walk:
+                if st.edge not in edges:
+                    raise ComplexStructureError(f"face {fid!r} uses unknown edge {st.edge!r}")
+            ends = [edges[st.edge][::st.dir] for st in f.walk]
+            for i in range(4):
+                if ends[i][1] != ends[i - 3][0]:
+                    raise ComplexStructureError(f"face {fid!r} walk does not chain at slot {i}")
+        if vertices:
+            adj: list = [[] for _ in vertices]
+            for src, dst in edges.values():
+                adj[src].append(dst)
+                adj[dst].append(src)
+            seen = {0}
+            stack = [0]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            if len(seen) != len(adj):
+                raise ComplexStructureError("1-skeleton is not connected")
+    except ComplexStructureError as exc:
+        return str(exc)
+    return None
+
+
+def test_validation_messages_match_the_earlier_validator():
+    """Damaged copies of random quotients and fixtures: a flipped step, a
+    step on another or an unknown edge, an endpoint out of range, a dropped
+    edge, an extra vertex, a face that is not a Face. The validator raises
+    exactly when the earlier one did, with the same message."""
+    rng = random.Random(5)
+    bases = [cx for _name, cx in named_complexes()]
+    while len(bases) < 60:
+        n = rng.randint(1, 4)
+        slots = [(f, j) for f in range(n) for j in range(4)]
+        cx = build_quotient(n, [(*rng.sample(slots, 2), rng.choice((1, -1)))
+                                for _ in range(rng.randint(n - 1, 2 * n))])
+        if cx is not None:
+            bases.append(cx)
+    messages = set()
+    for _ in range(3000):
+        cx = rng.choice(bases)
+        names, edges, faces = cx.names, dict(cx.edges), dict(cx.faces)
+        kind = rng.randrange(6)
+        if kind < 2 and faces:
+            fid = rng.choice(list(faces))
+            walk = list(faces[fid].walk)
+            i = rng.randrange(4)
+            edge = (rng.choice([*edges, len(edges) + 2]) if kind
+                    else walk[i].edge)
+            walk[i] = Step(edge, -walk[i].dir if kind == 0 else walk[i].dir)
+            faces[fid] = Face(tuple(walk), faces[fid].label)
+        elif kind == 2 and edges:
+            e = rng.choice(list(edges))
+            src, dst = edges[e]
+            edges[e] = (src, len(names.vertices) + rng.randrange(2))
+        elif kind == 3 and edges:
+            del edges[rng.choice(list(edges))]
+        elif kind == 4:
+            names = NameTable(names.vertices + ("extra",), names.edges, names.faces)
+        elif faces:
+            faces[rng.choice(list(faces))] = "not a face"
+        want = oracle_validate(names, edges, faces)
+        try:
+            SquareComplex(names, edges, faces)
+            got = None
+        except ComplexStructureError as exc:
+            got = str(exc)
+        assert got == want
+        messages.add(want and re.sub(r"face \d+ |edge \d+ ?|slot \d", "", want))
+    # every message of the validator is reached, and undamaged copies pass
+    assert messages == {
+        None, "edges and faces must be 0..n-1 in order", "endpoint missing",
+        "is not a Face", "uses unknown ", "walk does not chain at ",
+        "1-skeleton is not connected"}
 
 
 def test_validation_errors():

@@ -6,6 +6,10 @@ build_quotient on two union-finds, and the cursor loop that rebuilds the
 signed union-find for every candidate and label. The library must give the
 same classes in the same order with the same representative gluings, keys
 that are equal and sorted exactly as the oracle's, and the same quotients.
+
+The slot-table coders that the packed codes replaced (_codes, _least_codes
+with their permutation table) are kept verbatim too: the per-partition XOR
+codes and the early-exit minimum must equal what they read.
 """
 
 import random
@@ -18,6 +22,7 @@ from squarewalls.complexes import (
     Step,
     build_quotient,
     cancellation,
+    slot_table,
 )
 from squarewalls.enumeration import (
     EnumerationCursor,
@@ -25,9 +30,9 @@ from squarewalls.enumeration import (
     WORK_COUNTERS,
     _complete_specs,
     _label_strings,
+    _least_codes,
     _set_partitions,
-    _sign_tuples,
-    _spec_idents,
+    _sign_choice_codes,
     canonical_key,
 )
 from squarewalls.fulfill import AbstractComplex
@@ -149,6 +154,13 @@ def oracle_canonical_key(n_faces: int, idents, labels) -> tuple:
     return best
 
 
+def _sign_tuples(k: int):
+    out = [()]
+    for _ in range(k):
+        out = [t + (s,) for t in out for s in (1, -1)]
+    return out
+
+
 def oracle_complete_specs(n_faces: int):
     seen = set()
     for part in _set_partitions(list(range(4 * n_faces))):
@@ -161,7 +173,9 @@ def oracle_complete_specs(n_faces: int):
             sign_choices = [c + [signs] for c in sign_choices
                             for signs in _sign_tuples(len(b) - 1)]
         for choice in sign_choices:
-            idents = _spec_idents(list(zip(blocks, choice)))
+            idents = tuple((divmod(b[0], 4), divmod(x, 4), sg)
+                           for b, signs in zip(blocks, choice)
+                           for x, sg in zip(b[1:], signs))
             for labels in _label_strings(n_faces):
                 key = oracle_canonical_key(n_faces, idents, labels)
                 if key is None or key in seen:
@@ -240,6 +254,57 @@ class OracleCursor:
         return out
 
 
+# -- oracle: the slot-table coders, verbatim -----------------------------------
+
+# per face count: each face permutation and its slots in reading order
+_ORDERS = {n: [(perm, [4 * f + j for f in perm for j in range(4)])
+               for perm in permutations(range(n))]
+           for n in range(1, MAX_FACES + 1)}
+
+
+def _codes(root, sign, order) -> list:
+    """Slot codes read in the given slot order: 2*cid + (relative sign == +1),
+    with edge classes numbered by first occurrence and signs taken relative
+    to that occurrence."""
+    first: dict = {}
+    codes = []
+    for x in order:
+        r = root[x]
+        base = first.get(r)
+        if base is None:
+            base = first[r] = (2 * len(first) + 1) ^ (sign[x] < 0)
+        codes.append(base ^ (sign[x] < 0))
+    return codes
+
+
+def _oracle_least_codes(n_faces: int, table) -> tuple:
+    """(least code tuple over face permutations, the permutations reaching
+    it). The first four codes depend only on the first face, so only
+    permutations starting with a face of least head are coded in full."""
+    root, sign = table
+    heads = [_codes(root, sign, range(4 * f, 4 * f + 4)) for f in range(n_faces)]
+    least = min(heads)
+    best, tied = None, []
+    for perm, order in _ORDERS[n_faces]:
+        if heads[perm[0]] != least:
+            continue
+        codes = _codes(root, sign, order)
+        if best is None or codes < best:
+            best, tied = codes, [perm]
+        elif codes == best:
+            tied.append(perm)
+    return tuple(best), tied
+
+
+def packed(codes) -> int:
+    """Codes 8 bits apiece, the first most significant."""
+    out = 0
+    for c in codes:
+        assert 0 <= c < 256
+        out = out << 8 | c
+    return out
+
+
 # -- checks ----------------------------------------------------------------------
 
 
@@ -304,3 +369,74 @@ def test_build_quotient_matches_oracle():
             outcomes["complex"] += 1
             assert new.to_json() == old.to_json()
     assert min(outcomes.values()) > 300
+
+
+def test_sign_choice_codes_equal_the_coder_on_every_signed_partition():
+    """Every signed slot partition of one and two squares, connected or not,
+    under every face permutation: the XOR-derived packed codes of each sign
+    choice, in the product order of the blocks' sign tuples, equal the
+    packed codes the slot-table coder reads."""
+    choices = 0
+    for n in (1, 2):
+        for part in _set_partitions(list(range(4 * n))):
+            blocks = [sorted(b) for b in part]
+            root = [0] * (4 * n)
+            for b in blocks:
+                for x in b:
+                    root[x] = b[0]
+            free = [x for b in blocks for x in b[1:]]
+            got = {tuple(order): _sign_choice_codes(tuple(root), free, order)
+                   for _perm, order in _ORDERS[n]}
+            signed = [[]]
+            for b in blocks:
+                signed = [c + [signs] for c in signed
+                          for signs in _sign_tuples(len(b) - 1)]
+            assert all(len(codes) == len(signed) for codes in got.values())
+            for i, choice in enumerate(signed):
+                sign = [1] * (4 * n)
+                for b, signs in zip(blocks, choice):
+                    for x, sg in zip(b[1:], signs):
+                        sign[x] = sg
+                for order, codes in got.items():
+                    assert codes[i] == packed(_codes(root, sign, order))
+                choices += 1
+    assert choices == 49 + 75905
+
+
+def test_early_exit_least_codes_equal_the_full_minimum():
+    """Seeded random gluings of three to five squares, and growth tables (a
+    2-face spec extended to a third face by one or two identifications):
+    the early-exit minimum and its tied permutations equal the full
+    minimum's, and so does canonical_key's tuple form."""
+    rng = random.Random(23)
+    tables = []
+    while len(tables) < 3000:
+        n = rng.randint(3, MAX_FACES)
+        slots = [(f, j) for f in range(n) for j in range(4)]
+        idents = [(*rng.sample(slots, 2), rng.choice((1, -1)))
+                  for _ in range(rng.randint(0, 2 * n + 2))]
+        # symmetric gluings tie several permutations
+        if rng.random() < 0.3:
+            idents = [((f, j), ((f + 1) % n, k), s) for (f, j), (_g, k), s in idents]
+        table = slot_table(n, idents)
+        if table is not None:
+            tables.append((n, table, idents))
+    specs = list(_complete_specs(2, dict.fromkeys(WORK_COUNTERS, 0)))
+    grown = 0
+    while grown < 2000:
+        _key, idents, _labels, table = rng.choice(specs)
+        new = [((rng.randrange(2), rng.randrange(4)), (2, rng.randrange(4)),
+                rng.choice((1, -1))) for _ in range(rng.randint(1, 2))]
+        table = slot_table(3, new, (table[0] + (8, 9, 10, 11), table[1] + (1,) * 4))
+        if table is not None:
+            tables.append((3, table, list(idents) + new))
+            grown += 1
+    ties = 0
+    for n, table, idents in tables:
+        codes, tied = _least_codes(n, table)
+        want, want_tied = _oracle_least_codes(n, table)
+        assert codes == packed(want)
+        assert list(tied) == want_tied
+        assert canonical_key(n, idents, [1] * n)[1] == want
+        ties += len(tied) > 1
+    assert ties > 100

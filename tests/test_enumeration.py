@@ -193,6 +193,28 @@ def test_classes_with_equal_ends_share_one_edges_dict(local_iso_corpus):
     assert len(owners) < len(local_iso_corpus) // 10
 
 
+def test_labelings_of_a_gluing_share_one_skeleton(monkeypatch):
+    """The labelings of one complete-level gluing pop in a row and are built
+    from one skeleton: one _skeleton call per gluing, and the two labelings
+    of each 2-face gluing share its edges dict, name table and walks."""
+    skeleton, tables = enumeration._skeleton, []
+
+    def counted(n, idents, table):
+        tables.append(table)
+        return skeleton(n, idents, table)
+
+    monkeypatch.setattr(enumeration, "_skeleton", counted)
+    classes = list(EnumerationCursor(2))
+    assert len(tables) == len({id(t) for t in tables}) == 49 + 37264
+    two = classes[49:]
+    assert len(two) == 2 * 37264
+    for Y, Z in zip(two[::2], two[1::2]):
+        assert (Y.n_labels, Z.n_labels) == (1, 2)
+        assert Y.base.edges is Z.base.edges and Y.base.names is Z.base.names
+        assert [f.walk for f in Y.base.faces.values()] == [
+            f.walk for f in Z.base.faces.values()]
+
+
 def test_cancellation_closed_form_on_local_iso_corpus(local_iso_corpus):
     assert len(local_iso_corpus) == 49 + 74528 + 200
     for Y in local_iso_corpus:
